@@ -54,22 +54,17 @@ from .transforms import (
     sigma0_equiv,
     sub_condition_ok,
     sup_condition_ok,
+    swap_records,
     swapped_order,
     u_pair,
     u_transform,
 )
 from .reductions import (
-    ReductionError,
     ReductionStep,
-    change_sign_half,
-    change_sign_integral,
-    expand,
-    expand_bound,
-    far_away_threshold,
-    far_from_set_threshold,
+    change_sign,
+    expand_amount,
+    far_from_set_threshold_twice,
     measure,
-    pull_equal,
-    pull_unequal,
 )
 from .engine import (
     Engine,

@@ -210,25 +210,29 @@ class SignedData:
                 )
 
 
+def _fiber_admissible(psi: Parameter, fiber: Sequence[int]) -> bool:
+    """Condition (P) on one fiber order, listed greatest first."""
+    for hi_pos in range(len(fiber)):
+        upper = psi.blocks[fiber[hi_pos]]
+        for lo_pos in range(hi_pos + 1, len(fiber)):
+            lower = psi.blocks[fiber[lo_pos]]
+            if (
+                lower.zeta == upper.zeta
+                and lower.A > upper.A
+                and lower.B > upper.B
+            ):
+                return False
+    return True
+
+
 def is_admissible(order: AdmissibleOrder, psi: Parameter) -> bool:
     """Condition (P): a block strictly dominating another of the same zeta is greater."""
-    fibers = psi.fibers()
     covered = sorted(itertools.chain.from_iterable(order.per_rho))
     if covered != list(range(len(psi.blocks))):
         raise DataError("order does not cover the block occurrences exactly once")
-    for rho, want in fibers.items():
-        t = order.fiber_for(psi, rho)
-        for hi_pos in range(len(t)):
-            for lo_pos in range(hi_pos + 1, len(t)):
-                upper = psi.blocks[t[hi_pos]]
-                lower = psi.blocks[t[lo_pos]]
-                if (
-                    lower.zeta == upper.zeta
-                    and lower.A > upper.A
-                    and lower.B > upper.B
-                ):
-                    return False
-    return True
+    return all(
+        _fiber_admissible(psi, order.fiber_for(psi, rho)) for rho in psi.fibers()
+    )
 
 
 def natural_order(psi: Parameter) -> AdmissibleOrder:
@@ -242,27 +246,10 @@ def natural_order(psi: Parameter) -> AdmissibleOrder:
 
 def all_admissible_orders(psi: Parameter, limit: Optional[int] = None) -> List[AdmissibleOrder]:
     """Every admissible order, as the product of per-fiber admissible permutations."""
-    per_fiber: List[List[Tuple[int, ...]]] = []
-    for rho, ix in psi.fibers().items():
-        opts = []
-        for perm in itertools.permutations(ix):
-            ok = True
-            for hi_pos in range(len(perm)):
-                for lo_pos in range(hi_pos + 1, len(perm)):
-                    upper = psi.blocks[perm[hi_pos]]
-                    lower = psi.blocks[perm[lo_pos]]
-                    if (
-                        lower.zeta == upper.zeta
-                        and lower.A > upper.A
-                        and lower.B > upper.B
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                opts.append(perm)
-        per_fiber.append(opts)
+    per_fiber = [
+        [perm for perm in itertools.permutations(ix) if _fiber_admissible(psi, perm)]
+        for ix in psi.fibers().values()
+    ]
     out: List[AdmissibleOrder] = []
     for combo in itertools.product(*per_fiber):
         out.append(AdmissibleOrder(tuple(combo)))

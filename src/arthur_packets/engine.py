@@ -17,17 +17,18 @@ from typing import List, Optional, Sequence, Tuple
 from .characters import quasisplit_ok
 from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible
 from .reductions import (
-    Rec,
     ReductionStep,
+    change_sign,
+    expand_amount,
     far_from_set_threshold_twice,
-    measure,
 )
 from .transforms import (
+    Rec,
     TransformPreconditionError,
-    s_minus_pair,
-    s_plus_pair,
+    _sgn_pow,
+    fiber_records,
     sup_condition_ok,
-    u_pair,
+    swap_records,
 )
 
 
@@ -45,10 +46,6 @@ class Verdict:
     trace: Tuple = ()
 
 
-def _sgn(d: int) -> int:
-    return -1 if d % 2 else 1
-
-
 def _d(rec: Rec) -> int:
     return (rec[0] - rec[1]) // 2
 
@@ -61,7 +58,7 @@ def basic_ok(lower: Rec, upper: Rec) -> bool:
     """The two-block condition for a comparable pair (upper dominates lower)."""
     tA1, tB1, _z1, l1, e1 = lower
     tA2, tB2, _z2, l2, e2 = upper
-    if e2 == _sgn(_d(lower)) * e1:
+    if e2 == _sgn_pow(_d(lower)) * e1:
         return tA2 - 2 * l2 >= tA1 - 2 * l1 and tB2 + 2 * l2 >= tB1 + 2 * l1
     return tB2 + 2 * l2 > tA1 - 2 * l1
 
@@ -150,38 +147,17 @@ class Engine:
     def __init__(self, recursion_limit: int = 10000):
         self.recursion_limit = recursion_limit
         self._memo = {}
+        self._steps = 0
 
     # -- fiber normalization ---------------------------------------------
 
     @staticmethod
-    def _bubble_swap(seq: List[Rec], i: int) -> None:
-        """Swap positions i (lower) and i+1 (upper), transporting (l, eta).
+    def _canonicalize(seq: Sequence[Rec]) -> Tuple[Rec, ...]:
+        """Bubble into ascending natural order, transporting the data.
 
-        Raises TransformPreconditionError when the necessary condition of the
-        same-zeta swap fails (which implies the verdict is False).
+        Raises TransformPreconditionError when a same-zeta swap finds its
+        necessary condition violated (which implies the verdict is False).
         """
-        lo, up = seq[i], seq[i + 1]
-        if lo[2] != up[2]:
-            lu, eu, ll, el = u_pair(_d(up), _d(lo), up[3], up[4], lo[3], lo[4])
-            up = (up[0], up[1], up[2], lu, eu)
-            lo = (lo[0], lo[1], lo[2], ll, el)
-        elif up[1] <= lo[1] and up[0] >= lo[0]:
-            lb, eb, ls, es = s_plus_pair(_d(up), _d(lo), up[3], up[4], lo[3], lo[4])
-            up = (up[0], up[1], up[2], lb, eb)
-            lo = (lo[0], lo[1], lo[2], ls, es)
-        elif lo[1] <= up[1] and lo[0] >= up[0]:
-            lb, eb, ls, es = s_minus_pair(_d(lo), _d(up), lo[3], lo[4], up[3], up[4])
-            lo = (lo[0], lo[1], lo[2], lb, eb)
-            up = (up[0], up[1], up[2], ls, es)
-        else:
-            raise AssertionError(
-                "unreachable: adjacent same-zeta pair neither nested nor allowed to swap"
-            )
-        seq[i], seq[i + 1] = up, lo
-
-    @classmethod
-    def _canonicalize(cls, seq: Sequence[Rec]) -> Tuple[Rec, ...]:
-        """Bubble into ascending natural order, transporting the data."""
         work = list(seq)
         n = len(work)
         changed = True
@@ -189,7 +165,7 @@ class Engine:
             changed = False
             for i in range(n - 1):
                 if _key(work[i]) > _key(work[i + 1]):
-                    cls._bubble_swap(work, i)
+                    work[i], work[i + 1] = swap_records(work[i], work[i + 1])
                     changed = True
         for i, rec in enumerate(work):
             if 2 * rec[3] == _d(rec) + 1:
@@ -211,10 +187,11 @@ class Engine:
         return verdict
 
     def _record(self, trace: Optional[list], step: ReductionStep) -> None:
-        assert step.decreases(), (
-            f"termination measure failed to decrease on {step.kind}: "
-            f"{step.measure_before} -> {step.measure_after}"
-        )
+        if not step.decreases():
+            raise AssertionError(
+                f"termination measure failed to decrease on {step.kind}: "
+                f"{step.measure_before} -> {step.measure_after}"
+            )
         self._steps += 1
         if self._steps > self.recursion_limit:
             raise RecursionLimitError(
@@ -283,19 +260,14 @@ class Engine:
             work = list(seq)
             try:
                 for j in range(q, n - 2):
-                    self._bubble_swap(work, j)
+                    work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+                P = work[-1]
+                Q = work[-2]
+                # S+ on the nested pair: P's data in the order with Q above.
+                P_swapped, _ = swap_records(Q, P)
             except TransformPreconditionError:
                 return False
-            P = work[-1]
-            Q = work[-2]
             rest = work[:-2]
-            if not sup_condition_ok(_d(P), _d(Q), P[3], P[4], Q[3], Q[4]):
-                return False
-            try:
-                lb, eb, ls, es = s_plus_pair(_d(P), _d(Q), P[3], P[4], Q[3], Q[4])
-            except TransformPreconditionError:
-                return False
-            P_swapped = (P[0], P[1], P[2], lb, eb)
             # B-equalizing co-shift of the retired pair: shift P up by
             # (B_Q - B_P); the basic condition is co-shift invariant.
             delta = Q[1] - P[1]
@@ -322,7 +294,7 @@ class Engine:
             for j in range(r, n - 2):
                 # Blocks between equal-interval partners share the key and
                 # have the opposite zeta, so these are all U-swaps.
-                self._bubble_swap(work, j)
+                work[j], work[j + 1] = swap_records(work[j], work[j + 1])
             P = work[-1]
             R = work[-2]
             rest = work[:-2]
@@ -338,12 +310,7 @@ class Engine:
                 tuple(rest + [R]), trace
             )
 
-        same_z = [rec for rec in rest if rec[2] == P[2]]
-        if same_z:
-            assert all(rec[1] < P[1] for rec in same_z)
-            t = min((P[1] - rec[1]) // 2 for rec in same_z)
-        else:
-            t = P[1] // 2
+        t = expand_amount(P, rest)
         if t >= 1:
             expanded = (P[0] + 2 * t, P[1] - 2 * t, P[2], P[3] + t, P[4])
             new_seq = tuple(rest + [expanded])
@@ -352,25 +319,13 @@ class Engine:
 
         # B of the top block is 0 or 1/2, and every lower block has the
         # opposite zeta: bubble it to the bottom with U-swaps, change sign.
-        assert P[1] in (0, 1) and not same_z
+        if any(rec[2] == P[2] for rec in rest):
+            raise AssertionError("Change-sign site: a lower block has the same zeta")
         work = list(seq)
         for j in range(n - 2, -1, -1):
-            self._bubble_swap(work, j)
-        P2 = work[0]
-        rest2 = work[1:]
-        if P2[1] == 0:
-            changed = (P2[0], 0, -P2[2], P2[3], P2[4])
-            kind = "ChangeSignIntegral"
-        else:
-            l1, e1 = P2[3], P2[4]
-            if 2 * l1 == _d(P2) + 1:
-                e1 = -1
-            if e1 == 1:
-                changed = (P2[0] + 2, 1, -P2[2], l1 + 1, -1)
-            else:
-                changed = (P2[0] + 2, 1, -P2[2], l1, 1)
-            kind = "ChangeSignHalf"
-        new_seq = tuple([changed] + rest2)
+            work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+        kind, changed = change_sign(work[0])
+        new_seq = tuple([changed] + work[1:])
         self._record(trace, ReductionStep.make(kind, seq, (new_seq,)))
         return self._fiber_decide(new_seq, trace)
 
@@ -378,22 +333,10 @@ class Engine:
 
     @staticmethod
     def _fiber_seqs(psi: Parameter, order: AdmissibleOrder, data: SignedData):
-        seqs = []
-        for rho in psi.fibers():
-            fiber = order.fiber_for(psi, rho)
-            seqs.append(
-                tuple(
-                    (
-                        psi.blocks[i].A.twice,
-                        psi.blocks[i].B.twice,
-                        psi.blocks[i].zeta,
-                        data.l[i],
-                        data.eta[i],
-                    )
-                    for i in reversed(fiber)
-                )
-            )
-        return seqs
+        return [
+            tuple(fiber_records(psi, reversed(order.fiber_for(psi, rho)), data.l, data.eta))
+            for rho in psi.fibers()
+        ]
 
     def decide(
         self,

@@ -38,8 +38,8 @@ def candidates(psi: Parameter) -> List[SignedData]:
 
 
 def _eval_chunk(args):
-    psi, order, chunk = args
-    engine = Engine()
+    psi, order, chunk, recursion_limit = args
+    engine = Engine(recursion_limit)
     kept = []
     for data in chunk:
         if quasisplit_ok(psi, data) and engine._decide_unchecked(
@@ -59,16 +59,19 @@ def enumerate_packet(
         order = natural_order(psi)
     if not is_admissible(order, psi):
         raise DataError("order is not admissible")
+    engine = engine or Engine()
     cands = candidates(psi)
     if jobs > 1 and len(cands) > 1:
         chunk_size = (len(cands) + jobs - 1) // jobs
-        chunks = [cands[i : i + chunk_size] for i in range(0, len(cands), chunk_size)]
+        chunks = [
+            (psi, order, cands[i : i + chunk_size], engine.recursion_limit)
+            for i in range(0, len(cands), chunk_size)
+        ]
         kept: List[SignedData] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_eval_chunk, [(psi, order, ch) for ch in chunks]):
+            for part in pool.map(_eval_chunk, chunks):
                 kept.extend(part)
     else:
-        engine = engine or Engine()
         kept = [
             data
             for data in cands

@@ -1,57 +1,29 @@
-"""Reduction rewrites (Pull, Expand, Change sign) and far-away thresholds.
+"""Reduction rewrites on fiber records: thresholds, termination measure, steps.
 
-Each reduction rewrites a (Parameter, AdmissibleOrder, SignedData) triple into
-one or more subproblem triples whose conjunction has the same nonvanishing
-verdict.  All operations validate their hypotheses and refuse otherwise; the
-caller is responsible for establishing hypotheses (via shifts and reorders)
-first.
-
-Blocks shifted "far away" use concrete minimal shift amounts computed from the
-threshold functions; verdicts for far-separated configurations are
-shift-invariant, so any sufficiently large shift is equivalent.
-
-The module also exposes twice-integer helpers on bare fiber records
-``(tA, tB, zeta, l, eta)`` so the decision engine can reuse the threshold and
-measure arithmetic on its internal state.
+The decision engine rewrites a fiber, held as records ``(tA, tB, zeta, l, eta)``
+with tA, tB doubled coordinates, by Pull, Expand and Change sign until every
+piece is in good shape.  This module holds the pure record-level parts of
+those rewrites: the far-from-a-set threshold, the Expand amount, the
+Change-sign rule, and the termination measure with the step record that the
+engine checks on every rewrite.  Pull stays inside the engine, because it
+transports data by bubbling the pulled block through its fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .core import (
-    AdmissibleOrder,
-    DataError,
-    JordanBlock,
-    Parameter,
-    RhoLabel,
-    SignedData,
-    is_admissible,
-)
-from .halfint import HalfInt
-from .transforms import AdjacentSwap, s_plus, swapped_order
-
-# A fiber record: (tA, tB, zeta, l, eta) with tA, tB doubled coordinates.
-Rec = Tuple[int, int, int, int, int]
-
-
-class ReductionError(DataError):
-    """Hypotheses of a reduction are not satisfied."""
+from .transforms import Rec
 
 
 # ---------------------------------------------------------------------------
-# Thresholds (twice-integer record level)
+# Thresholds
 # ---------------------------------------------------------------------------
 
 def fiber_span_twice(recs: Sequence[Rec]) -> int:
     """Twice the sum of (A' - B' + 1) over the records."""
     return sum(tA - tB + 2 for tA, tB, *_ in recs)
-
-
-def far_threshold_twice(recs: Sequence[Rec], r: int) -> int:
-    """A record is level-r far away iff its tB exceeds this value."""
-    return (2 ** r) * fiber_span_twice(recs)
 
 
 def far_from_set_threshold_twice(recs: Sequence[Rec], J: Sequence[int], r: int) -> int:
@@ -65,39 +37,46 @@ def far_from_set_threshold_twice(recs: Sequence[Rec], J: Sequence[int], r: int) 
 
 
 # ---------------------------------------------------------------------------
-# Thresholds (Parameter level)
+# Expand and Change sign
 # ---------------------------------------------------------------------------
 
-def _fiber_recs(psi: Parameter, rho: RhoLabel) -> Tuple[List[int], List[Rec]]:
-    ix = [i for i, blk in enumerate(psi.blocks) if blk.rho == rho]
-    recs = [
-        (psi.blocks[i].A.twice, psi.blocks[i].B.twice, psi.blocks[i].zeta, 0, 1)
-        for i in ix
-    ]
-    return ix, recs
+def expand_amount(top: Rec, lower: Sequence[Rec]) -> int:
+    """The Expand amount t for the top record of a fiber.
+
+    Expand replaces (A, B, l) of ``top`` by (A + t, B - t, l + t).  t is the
+    least (B_top - B) / 2, rounded down, over the ``lower`` records of the
+    same zeta, or floor(B_top) when there are none.  Each of those records
+    must have B < B_top: one with B >= B_top would be contained in the top
+    interval or equal to it, and Pull handles those first.
+    """
+    same_z = [rec[1] for rec in lower if rec[2] == top[2]]
+    if any(tB >= top[1] for tB in same_z):
+        raise AssertionError(
+            "Expand site: a lower same-zeta block has B >= B of the top block"
+        )
+    if same_z:
+        return min((top[1] - tB) // 2 for tB in same_z)
+    return top[1] // 2
 
 
-def far_away_threshold(psi: Parameter, rho: RhoLabel, r: int) -> HalfInt:
-    """Bound from the level-r criterion: far iff B > 2^r * sum(A' - B' + 1)."""
-    if r < 1:
-        raise ReductionError("level r must be a positive integer")
-    _, recs = _fiber_recs(psi, rho)
-    return HalfInt(far_threshold_twice(recs, r))
+def change_sign(rec: Rec) -> Tuple[str, Rec]:
+    """The Change-sign rewrite of a B = 0 or B = 1/2 record: (kind, new record).
 
-
-def far_from_set_threshold(
-    psi: Parameter, rho: RhoLabel, J: Iterable[int], r: int
-) -> HalfInt:
-    """Bound for being level-r far from the occurrence subset J of the fiber."""
-    if r < 1:
-        raise ReductionError("level r must be a positive integer")
-    ix, recs = _fiber_recs(psi, rho)
-    pos = {occ: p for p, occ in enumerate(ix)}
-    J = list(J)
-    for occ in J:
-        if occ not in pos:
-            raise ReductionError(f"occurrence {occ} is not in the fiber of {rho.id!r}")
-    return HalfInt(far_from_set_threshold_twice(recs, [pos[occ] for occ in J], r))
+    B = 0 flips zeta and keeps (l, eta).  B = 1/2 turns (A, 1/2, zeta) into
+    (A + 1, 1/2, -zeta); eta is first set to -1 when l is maximal with A - B
+    odd (the flip is invisible there), then eta = +1 gives (l + 1, -1) and
+    eta = -1 gives (l, +1).
+    """
+    tA, tB, zeta, l, eta = rec
+    if tB == 0:
+        return "ChangeSignIntegral", (tA, 0, -zeta, l, eta)
+    if tB != 1:
+        raise AssertionError(f"Change-sign site: B must be 0 or 1/2, got 2B = {tB}")
+    if 2 * l == (tA - tB) // 2 + 1:
+        eta = -1
+    if eta == 1:
+        return "ChangeSignHalf", (tA + 2, 1, -zeta, l + 1, -1)
+    return "ChangeSignHalf", (tA + 2, 1, -zeta, l, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,248 +124,3 @@ class ReductionStep:
 
     def decreases(self) -> bool:
         return all(m < self.measure_before for m in self.measure_after)
-
-
-# ---------------------------------------------------------------------------
-# Shared hypothesis helpers (Parameter level)
-# ---------------------------------------------------------------------------
-
-def _fiber_position(psi: Parameter, order: AdmissibleOrder, n: int) -> Tuple[Tuple[int, ...], int]:
-    if not (0 <= n < len(psi.blocks)):
-        raise ReductionError(f"occurrence index {n} out of range")
-    fiber = order.fiber_for(psi, psi.blocks[n].rho)
-    return fiber, fiber.index(n)
-
-
-def _rec_of(blk: JordanBlock) -> Rec:
-    return (blk.A.twice, blk.B.twice, blk.zeta, 0, 1)
-
-
-def _check_far_above(psi: Parameter, fiber: Sequence[int], pos: int) -> None:
-    """Every block above position ``pos`` must be level-1 far from the rest."""
-    recs = [_rec_of(psi.blocks[i]) for i in fiber]
-    lower = list(range(pos, len(fiber)))
-    for p in range(pos):
-        bound = far_from_set_threshold_twice(recs, lower, 1)
-        if recs[p][1] <= bound:
-            raise ReductionError(
-                "blocks above the reduction site must be far away (level 1)"
-            )
-
-
-def _min_far_shift_twice(tB: int, bound_twice: int) -> int:
-    """Smallest even twice-shift making tB strictly exceed the bound."""
-    need = bound_twice - tB  # must end strictly above
-    if need < 0:
-        return 0
-    return 2 * (need // 2 + 1)
-
-
-def _shift_block(blk: JordanBlock, t_twice: int) -> JordanBlock:
-    return JordanBlock(blk.rho, HalfInt(blk.A.twice + t_twice), HalfInt(blk.B.twice + t_twice), blk.zeta)
-
-
-def _replace_blocks(psi: Parameter, repl: dict) -> Parameter:
-    return Parameter(
-        tuple(repl.get(i, blk) for i, blk in enumerate(psi.blocks)),
-        group_kind=psi.group_kind,
-    )
-
-
-def _emit(psi: Parameter, order: AdmissibleOrder, data: SignedData):
-    data.check_bounds(psi)
-    if not is_admissible(order, psi):
-        raise AssertionError("reduction produced an inadmissible order")
-    return (psi, order, data)
-
-
-# ---------------------------------------------------------------------------
-# Pull
-# ---------------------------------------------------------------------------
-
-def pull_unequal(psi: Parameter, order: AdmissibleOrder, data: SignedData, n: int):
-    """Strictly nested same-zeta adjacent pair with the container above.
-
-    ``n`` is the occurrence index of the containing block; the contained block
-    is its lower neighbour in the fiber order.  Returns the three subproblem
-    triples whose conjunction is equivalent.
-    """
-    data.check_bounds(psi)
-    fiber, pos = _fiber_position(psi, order, n)
-    if pos + 1 >= len(fiber):
-        raise ReductionError("no block below the containing one")
-    m = fiber[pos + 1]
-    bn, bm = psi.blocks[n], psi.blocks[m]
-    if bn.zeta != bm.zeta:
-        raise ReductionError("pull requires equal zeta")
-    strict = bn.B <= bm.B and bn.A >= bm.A and (bn.B < bm.B or bn.A > bm.A)
-    if not strict:
-        raise ReductionError("pull_unequal requires strict interval containment")
-    _check_far_above(psi, fiber, pos)
-    swap = AdjacentSwap(bn.rho, len(fiber) - pos)
-    new_order = swapped_order(psi, order, swap)
-    if not is_admissible(new_order, psi):
-        raise ReductionError("swapped order is not admissible")
-
-    recs = [_rec_of(psi.blocks[i]) for i in fiber]
-    base = far_threshold_twice(recs, 1)
-
-    # (1) co-shift both blocks far, equalizing B; the pair becomes a
-    # comparable equal-B chunk far above the remaining blocks.
-    tq = _min_far_shift_twice(bm.B.twice, base)
-    tp = tq + (bm.B.twice - bn.B.twice)
-    sub1 = _emit(
-        _replace_blocks(psi, {n: _shift_block(bn, tp), m: _shift_block(bm, tq)}),
-        order,
-        data,
-    )
-    # (2) the containing block alone shifted far.
-    tn = _min_far_shift_twice(bn.B.twice, base)
-    sub2 = _emit(_replace_blocks(psi, {n: _shift_block(bn, tn)}), order, data)
-    # (3) swapped order with transformed data; the contained block (now above)
-    # shifted far.
-    data3 = s_plus(swap, psi, order, data)
-    tm = _min_far_shift_twice(bm.B.twice, base)
-    sub3 = _emit(_replace_blocks(psi, {m: _shift_block(bm, tm)}), new_order, data3)
-    return [sub1, sub2, sub3]
-
-
-def pull_equal(psi: Parameter, order: AdmissibleOrder, data: SignedData, n: int):
-    """Equal-interval same-zeta adjacent pair; ``n`` is the upper occurrence."""
-    data.check_bounds(psi)
-    fiber, pos = _fiber_position(psi, order, n)
-    if pos + 1 >= len(fiber):
-        raise ReductionError("no block below the upper one")
-    m = fiber[pos + 1]
-    bn, bm = psi.blocks[n], psi.blocks[m]
-    if bn.zeta != bm.zeta or bn.A != bm.A or bn.B != bm.B:
-        raise ReductionError("pull_equal requires equal intervals and equal zeta")
-    for i in fiber[pos + 2 :]:
-        bi = psi.blocks[i]
-        if (
-            bi.zeta == bn.zeta
-            and bi.B >= bn.B
-            and bi.A <= bn.A
-            and (bi.B > bn.B or bi.A < bn.A)
-        ):
-            raise ReductionError(
-                "pull_equal forbids a strictly smaller same-zeta interval below"
-            )
-    _check_far_above(psi, fiber, pos)
-    recs = [_rec_of(psi.blocks[i]) for i in fiber]
-    base = far_threshold_twice(recs, 1)
-    t = _min_far_shift_twice(bn.B.twice, base)
-    # (1) both co-shifted far with the same T (intervals stay equal).
-    sub1 = _emit(
-        _replace_blocks(psi, {n: _shift_block(bn, t), m: _shift_block(bm, t)}),
-        order,
-        data,
-    )
-    # (2) the upper block alone shifted far.
-    sub2 = _emit(_replace_blocks(psi, {n: _shift_block(bn, t)}), order, data)
-    return [sub1, sub2]
-
-
-# ---------------------------------------------------------------------------
-# Expand
-# ---------------------------------------------------------------------------
-
-def expand_bound(psi: Parameter, order: AdmissibleOrder, n: int) -> int:
-    """t_n: the largest legal expansion amount for block ``n``."""
-    fiber, pos = _fiber_position(psi, order, n)
-    bn = psi.blocks[n]
-    best = None
-    for i in fiber[pos + 1 :]:
-        bi = psi.blocks[i]
-        if bi.zeta == bn.zeta and bi.B <= bn.B:
-            gap = (bn.B.twice - bi.B.twice) // 2
-            best = gap if best is None else min(best, gap)
-    return best if best is not None else bn.B.floor()
-
-
-def expand(psi: Parameter, order: AdmissibleOrder, data: SignedData, n: int, t: int):
-    """Replace block n's (A, B, l) by (A + t, B - t, l + t)."""
-    data.check_bounds(psi)
-    fiber, pos = _fiber_position(psi, order, n)
-    bn = psi.blocks[n]
-    if not (isinstance(t, int) and t >= 0):
-        raise ReductionError("t must be a non-negative integer")
-    if t > expand_bound(psi, order, n):
-        raise ReductionError(f"t={t} exceeds the legal expansion bound")
-    _check_far_above(psi, fiber, pos)
-    for i in fiber[pos:]:
-        if psi.blocks[i].A > bn.A:
-            raise ReductionError("expand requires A_n maximal among the lower blocks")
-    for i in fiber[pos + 1 :]:
-        bi = psi.blocks[i]
-        if bi.zeta == bn.zeta and bi.B >= bn.B and bi.A <= bn.A:
-            raise ReductionError(
-                "expand forbids a same-zeta interval contained in [B_n, A_n]"
-            )
-    new_block = JordanBlock(
-        bn.rho, HalfInt(bn.A.twice + 2 * t), HalfInt(bn.B.twice - 2 * t), bn.zeta
-    )
-    l = list(data.l)
-    l[n] += t
-    new_psi = _replace_blocks(psi, {n: new_block})
-    new_data = SignedData(tuple(l), data.eta)
-    psi2, order2, data2 = _emit(new_psi, order, new_data)
-    return psi2, data2
-
-
-# ---------------------------------------------------------------------------
-# Change sign
-# ---------------------------------------------------------------------------
-
-def _check_change_sign_site(psi: Parameter, order: AdmissibleOrder, block1: int):
-    fiber, pos = _fiber_position(psi, order, block1)
-    if pos != len(fiber) - 1:
-        raise ReductionError("the sign-change block must be least in its fiber order")
-    b1 = psi.blocks[block1]
-    recs = [_rec_of(psi.blocks[i]) for i in fiber]
-    far_bound = far_threshold_twice(recs, 1)
-    for p, i in enumerate(fiber[:-1]):
-        bi = psi.blocks[i]
-        if recs[p][1] > far_bound:
-            continue  # far-away spectator
-        if bi.zeta == b1.zeta:
-            raise ReductionError("all nearby blocks must have the opposite zeta")
-        if bi.A > b1.A:
-            raise ReductionError("the sign-change block must have maximal A nearby")
-    return b1
-
-
-def change_sign_integral(psi: Parameter, order: AdmissibleOrder, data: SignedData, block1: int):
-    """Flip zeta of a B = 0 block; (l, eta) unchanged."""
-    data.check_bounds(psi)
-    b1 = _check_change_sign_site(psi, order, block1)
-    if b1.B.twice != 0:
-        raise ReductionError("change_sign_integral requires B = 0")
-    new_psi = _replace_blocks(psi, {block1: JordanBlock(b1.rho, b1.A, b1.B, -b1.zeta)})
-    psi2, _, data2 = _emit(new_psi, order, data)
-    return psi2, data2
-
-
-def change_sign_half(psi: Parameter, order: AdmissibleOrder, data: SignedData, block1: int):
-    """Replace a B = 1/2 block by (A + 1, 1/2, -zeta) with the (l, eta) case split."""
-    data.check_bounds(psi)
-    b1 = _check_change_sign_site(psi, order, block1)
-    if b1.B.twice != 1:
-        raise ReductionError("change_sign_half requires B = 1/2")
-    l1 = data.l[block1]
-    eta1 = data.eta[block1]
-    if 2 * l1 == b1.d + 1:
-        # l is maximal with A - B odd: the eta-flip is invisible, fix eta = -1.
-        eta1 = -1
-    if eta1 == 1:
-        new_l, new_eta = l1 + 1, -1
-    else:
-        new_l, new_eta = l1, 1
-    new_block = JordanBlock(b1.rho, HalfInt(b1.A.twice + 2), b1.B, -b1.zeta)
-    l = list(data.l)
-    eta = list(data.eta)
-    l[block1] = new_l
-    eta[block1] = new_eta
-    new_psi = _replace_blocks(psi, {block1: new_block})
-    psi2, _, data2 = _emit(new_psi, order, SignedData(tuple(l), tuple(eta)))
-    return psi2, data2

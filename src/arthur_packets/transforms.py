@@ -9,13 +9,14 @@ blocks involves a nested-or-equal pair, these transport (l, eta) between any
 two admissible orders (reorder).
 
 The pair formulas only depend on each block's A - B; helpers here take those
-integers directly so the engine can reuse them on its internal fiber records.
+integers directly.  ``swap_records`` applies them to fiber records, the form
+in which both the decision engine and ``reorder`` transport (l, eta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .core import (
     AdmissibleOrder,
@@ -26,6 +27,10 @@ from .core import (
     SignedData,
     is_admissible,
 )
+
+
+# A fiber record: (tA, tB, zeta, l, eta) with tA, tB doubled coordinates.
+Rec = Tuple[int, int, int, int, int]
 
 
 class TransformPreconditionError(DataError):
@@ -89,9 +94,10 @@ def s_plus_pair(
         new_e_big = e_small
     new_e_small = _sgn_pow(d_big) * e_small
     out = (new_l_big, new_e_big, l_small, new_e_small)
-    assert sub_condition_ok(d_big, d_small, *out), (
-        "s_plus output violates the contained-above necessary condition"
-    )
+    if not sub_condition_ok(d_big, d_small, *out):
+        raise AssertionError(
+            "s_plus output violates the contained-above necessary condition"
+        )
     return out
 
 
@@ -119,9 +125,10 @@ def s_minus_pair(
         new_e_big = _sgn_pow(d_small) * new_e_small
         new_l_big = (d_big - d_small) - l_big + 2 * l_small
     out = (new_l_big, new_e_big, l_small, new_e_small)
-    assert sup_condition_ok(d_big, d_small, *out), (
-        "s_minus output violates the container-above necessary condition"
-    )
+    if not sup_condition_ok(d_big, d_small, *out):
+        raise AssertionError(
+            "s_minus output violates the container-above necessary condition"
+        )
     return out
 
 
@@ -135,6 +142,47 @@ def u_pair(
         l_lower,
         _sgn_pow(d_upper + 1) * e_lower,
     )
+
+
+# ---------------------------------------------------------------------------
+# Fiber records
+# ---------------------------------------------------------------------------
+
+def fiber_records(
+    psi: Parameter, occurrences: Iterable[int], l: Sequence[int], eta: Sequence[Sign]
+) -> List[Rec]:
+    """The records of the given block occurrences, in the order listed."""
+    return [
+        (psi.blocks[i].A.twice, psi.blocks[i].B.twice, psi.blocks[i].zeta, l[i], eta[i])
+        for i in occurrences
+    ]
+
+
+def swap_records(lower: Rec, upper: Rec) -> Tuple[Rec, Rec]:
+    """Exchange an adjacent pair of fiber records, transporting (l, eta).
+
+    ``upper`` is the greater of the two in the current order.  U is applied
+    for opposite zeta, S+ when the upper interval contains the lower one and
+    S- when the lower contains the upper.  Returns the new (lower, upper)
+    pair: the old upper record, now below, and the old lower one, now above.
+    Raises TransformPreconditionError when the pair's necessary condition
+    fails, which means the member vanishes.
+    """
+    tA1, tB1, z1, l1, e1 = lower
+    tA2, tB2, z2, l2, e2 = upper
+    d1 = (tA1 - tB1) // 2
+    d2 = (tA2 - tB2) // 2
+    if z1 != z2:
+        l2, e2, l1, e1 = u_pair(d2, d1, l2, e2, l1, e1)
+    elif tB2 <= tB1 and tA2 >= tA1:
+        l2, e2, l1, e1 = s_plus_pair(d2, d1, l2, e2, l1, e1)
+    elif tB1 <= tB2 and tA1 >= tA2:
+        l1, e1, l2, e2 = s_minus_pair(d1, d2, l1, e1, l2, e2)
+    else:
+        raise AssertionError(
+            "unreachable: adjacent same-zeta pair neither nested nor allowed to swap"
+        )
+    return (tA2, tB2, z2, l2, e2), (tA1, tB1, z1, l1, e1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,44 +314,6 @@ def u_transform(
     return _apply_pair(psi, data, upper, lower, (lu, eu), (ll, el))
 
 
-def _transport_fiber(
-    psi: Parameter,
-    current: List[int],
-    target_rank: Dict[int, int],
-    l: List[int],
-    eta: List[Sign],
-) -> None:
-    """Bubble ``current`` (descending list of occurrences) into target order,
-    applying the pair transforms to (l, eta) in place."""
-    n = len(current)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            up, lo = current[i], current[i + 1]
-            if target_rank[up] >= target_rank[lo]:
-                continue
-            bu, bl = psi.blocks[up], psi.blocks[lo]
-            if bu.zeta != bl.zeta:
-                l[up], eta[up], l[lo], eta[lo] = u_pair(
-                    bu.d, bl.d, l[up], eta[up], l[lo], eta[lo]
-                )
-            elif bu.B <= bl.B and bu.A >= bl.A:
-                l[up], eta[up], l[lo], eta[lo] = s_plus_pair(
-                    bu.d, bl.d, l[up], eta[up], l[lo], eta[lo]
-                )
-            elif bl.B <= bu.B and bl.A >= bu.A:
-                l[lo], eta[lo], l[up], eta[up] = s_minus_pair(
-                    bl.d, bu.d, l[lo], eta[lo], l[up], eta[up]
-                )
-            else:
-                raise AssertionError(
-                    "unreachable: admissible adjacent swap of an incomparable same-zeta pair"
-                )
-            current[i], current[i + 1] = lo, up
-            changed = True
-
-
 def reorder(
     psi: Parameter,
     from_order: AdmissibleOrder,
@@ -319,9 +329,22 @@ def reorder(
     l = list(data.l)
     eta = list(data.eta)
     for rho in psi.fibers():
+        # Both lists run greatest first, so recs[i + 1] is below recs[i].
         current = list(from_order.fiber_for(psi, rho))
         target = to_order.fiber_for(psi, rho)
         target_rank = {occ: len(target) - pos for pos, occ in enumerate(target)}
-        _transport_fiber(psi, current, target_rank, l, eta)
-        assert current == list(target)
+        recs = fiber_records(psi, current, l, eta)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(current) - 1):
+                if target_rank[current[i]] >= target_rank[current[i + 1]]:
+                    continue
+                recs[i + 1], recs[i] = swap_records(recs[i + 1], recs[i])
+                current[i], current[i + 1] = current[i + 1], current[i]
+                changed = True
+        if current != list(target):
+            raise AssertionError("reorder did not reach the target order")
+        for occ, rec in zip(current, recs):
+            l[occ], eta[occ] = rec[3], rec[4]
     return SignedData(tuple(l), tuple(eta))

@@ -78,6 +78,18 @@ def test_recursion_limit_exit_four():
     assert res.exit_code == 4
 
 
+def test_recursion_limit_applies_with_jobs():
+    for jobs in ("1", "2"):
+        res = runner.invoke(
+            main,
+            [
+                "size", "--example", "moeglin-s8",
+                "--recursion-limit", "7", "--jobs", jobs,
+            ],
+        )
+        assert res.exit_code == 4, (jobs, res.output)
+
+
 def test_enumerate_sorted_and_consistent(tmp_path):
     res = runner.invoke(main, ["enumerate", "--example", "moeglin-s8", "--format", "json"])
     assert res.exit_code == 0, res.output

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arthur_packets.core import (
@@ -117,3 +122,28 @@ def test_memoization_is_consistent():
     first = eng.decide(psi, order, data).nonvanishing
     second = eng.decide(psi, order, data).nonvanishing
     assert first == second
+
+
+def test_measure_check_survives_optimized_mode():
+    # The engine's invariant checks are explicit raises, so `python -O` keeps them.
+    script = """
+from arthur_packets.core import AdmissibleOrder, JordanBlock, Parameter, RhoLabel, SignedData
+from arthur_packets.engine import Engine
+from arthur_packets.halfint import hi
+from arthur_packets.reductions import ReductionStep
+ReductionStep.decreases = lambda self: False
+rho = RhoLabel("r", "orthogonal", 1)
+psi = Parameter((JordanBlock(rho, hi(40), hi(10), 1), JordanBlock(rho, hi(37), hi(7), -1),
+                 JordanBlock(rho, hi(8), hi(4), 1)), group_kind="Sp-even")
+try:
+    Engine().decide(psi, AdmissibleOrder(((0, 1, 2),)), SignedData((10, 10, 2), (1, 1, 1)))
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised: termination measure failed to decrease"), res.stdout

@@ -1,195 +1,217 @@
+import functools
+import random
+
 import pytest
 
+from arthur_packets.characters import quasisplit_ok
 from arthur_packets.core import (
     AdmissibleOrder,
     JordanBlock,
     Parameter,
     RhoLabel,
     SignedData,
-    is_admissible,
+    natural_order,
 )
-from arthur_packets.halfint import hi
+from arthur_packets.engine import Engine
+from arthur_packets.halfint import HalfInt, hi
+from arthur_packets.packets import candidates
 from arthur_packets.reductions import (
-    ReductionError,
     ReductionStep,
-    change_sign_half,
-    change_sign_integral,
-    expand,
-    expand_bound,
-    far_away_threshold,
-    far_from_set_threshold,
+    change_sign,
+    expand_amount,
+    far_from_set_threshold_twice,
+    fiber_span_twice,
     measure,
-    pull_equal,
-    pull_unequal,
 )
 
 RHO = RhoLabel("r", "orthogonal", 1)
-RHO_H = RhoLabel("s", "symplectic", 1)
 
 
 def blk(A, B, zeta, rho=RHO):
     return JordanBlock(rho, hi(A), hi(B), zeta)
 
 
+def rec(A, B, zeta, l=0, eta=1):
+    """A fiber record with doubled coordinates."""
+    return (hi(A).twice, hi(B).twice, zeta, l, eta)
+
+
+def _trace(blocks, l, eta):
+    psi = Parameter(tuple(blocks))
+    order = AdmissibleOrder((tuple(range(len(blocks))),))
+    return Engine().decide(psi, order, SignedData(l, eta), collect_trace=True).trace
+
+
+def _random_fiber(rng):
+    """One fiber as acceptance criterion 5 draws it: 2-4 blocks, all on the
+    integral or all on the half-integral lattice."""
+    half = rng.choice((0, 1))
+    blocks = []
+    for _ in range(rng.randint(2, 4)):
+        tB = 2 * rng.randint(0, 3) + half
+        tA = tB + 2 * rng.randint(0, 4)
+        blocks.append(JordanBlock(RHO, HalfInt(tA), HalfInt(tB), rng.choice((1, -1))))
+    return Parameter(tuple(blocks))
+
+
+@functools.lru_cache(maxsize=None)
+def _random_fiber_steps():
+    """Every step the engine records on every quasisplit candidate of 60
+    random single fibers."""
+    rng = random.Random(5)
+    steps = []
+    for _ in range(60):
+        psi = _random_fiber(rng)
+        order = natural_order(psi)
+        for data in candidates(psi):
+            if quasisplit_ok(psi, data):
+                steps.extend(Engine().decide(psi, order, data, collect_trace=True).trace)
+    return tuple(steps)
+
+
+# ---------------------------------------------------------------------------
+# Thresholds
+# ---------------------------------------------------------------------------
+
 def test_far_away_threshold_examples():
-    psi = Parameter(())
-    assert far_away_threshold(psi, RHO, 1) == 0
-    psi = Parameter((blk(5, 3, 1), blk(2, 0, 1)))
-    assert far_away_threshold(psi, RHO, 1) == 12
-    assert far_away_threshold(psi, RHO, 2) == 24
+    # The span sum(A' - B' + 1) that the far-away bounds scale: level r far
+    # away from the whole fiber means B > 2^r * span (12 at r = 1, 24 at r = 2).
+    assert fiber_span_twice([]) == 0
+    assert fiber_span_twice([rec(5, 3, 1), rec(2, 0, 1)]) == 2 * 6
 
 
 def test_far_from_set_threshold_examples():
-    psi = Parameter((blk(5, 3, 1), blk(2, 0, 1)))
-    assert far_from_set_threshold(psi, RHO, [], 1) == 0
-    assert far_from_set_threshold(psi, RHO, [0], 1) == 22
-    assert far_from_set_threshold(psi, RHO, [0], 2) > far_from_set_threshold(
-        psi, RHO, [0], 1
+    recs = [rec(5, 3, 1), rec(2, 0, 1)]
+    assert far_from_set_threshold_twice(recs, [], 1) == 0
+    assert far_from_set_threshold_twice(recs, [0], 1) == 2 * 22
+    assert far_from_set_threshold_twice(recs, [0], 2) > far_from_set_threshold_twice(
+        recs, [0], 1
     )
-    assert far_from_set_threshold(psi, RHO, [0, 1], 1) > far_from_set_threshold(
-        psi, RHO, [0], 1
+    assert far_from_set_threshold_twice(recs, [0, 1], 1) > far_from_set_threshold_twice(
+        recs, [0], 1
     )
-    with pytest.raises(ReductionError):
-        far_from_set_threshold(psi, RHO_H, [0], 1)
 
 
-def _pull_instance():
-    blocks = (
-        blk(1000, 995, 1),  # far spectator
-        blk(6, 1, 1),  # container
-        blk(4, 2, 1),  # contained
-    )
-    psi = Parameter(blocks)
-    order = AdmissibleOrder(((0, 1, 2),))
-    data = SignedData((0, 1, 0), (1, 1, 1))
-    return psi, order, data
-
+# ---------------------------------------------------------------------------
+# Pull (inside the engine)
+# ---------------------------------------------------------------------------
 
 def test_pull_unequal_subproblems():
-    psi, order, data = _pull_instance()
-    subs = pull_unequal(psi, order, data, 1)
-    assert len(subs) == 3
-    for sub_psi, sub_order, sub_data in subs:
-        sub_data.check_bounds(sub_psi)
-        assert is_admissible(sub_order, sub_psi)
-    # (1) co-shifted pair with equalized B
-    p1 = subs[0][0]
-    assert p1.blocks[1].B == p1.blocks[2].B
-    assert p1.blocks[1].A > p1.blocks[2].A
-    # (2) only the container moved
-    p2 = subs[1][0]
-    assert p2.blocks[2] == psi.blocks[2]
-    assert p2.blocks[1].B > psi.blocks[1].B
-    # (3) swapped order with transformed data
-    assert subs[2][1].per_rho == ((0, 2, 1),)
-    assert subs[2][2] != data
-
-
-def test_pull_unequal_refuses_bad_hypotheses():
-    psi, order, data = _pull_instance()
-    with pytest.raises(ReductionError):
-        pull_unequal(psi, order, data, 2)  # contained block has nothing below
-    # spectator not far enough
-    near = Parameter((blk(20, 15, 1),) + psi.blocks[1:])
-    with pytest.raises(ReductionError):
-        pull_unequal(near, order, data, 1)
+    trace = _trace((blk(6, 1, 1), blk(4, 2, 1)), (1, 1), (1, 1))
+    assert [step.kind for step in trace] == ["PullUnequal"]
+    (step,) = trace
+    container, contained = rec(6, 1, 1, 1, 1), rec(4, 2, 1, 1, 1)
+    assert step.before == (contained, container)
+    rest, with_contained, with_container = step.after
+    assert rest == ()
+    assert with_contained == (contained,)
+    # The container, transported by S+ to the order with the contained block above.
+    ((tA, tB, zeta, _l, _eta),) = with_container
+    assert (tA, tB, zeta) == container[:3]
 
 
 def test_pull_equal_subproblems():
-    psi = Parameter((blk(3, 1, 1), blk(3, 1, 1)))
-    order = AdmissibleOrder(((0, 1),))
-    data = SignedData((1, 0), (1, -1))
-    subs = pull_equal(psi, order, data, 0)
-    assert len(subs) == 2
-    p1 = subs[0][0]
-    assert p1.blocks[0].interval() == p1.blocks[1].interval()  # co-shift keeps equality
-    assert p1.blocks[0].B > psi.blocks[0].B
-    p2 = subs[1][0]
-    assert p2.blocks[1] == psi.blocks[1]
+    trace = _trace((blk(3, 1, 1), blk(3, 1, 1), blk(2, 0, -1)), (0, 0, 1), (1, 1, 1))
+    assert trace[0].kind == "PullEqual"
+    assert len(trace[0].after) == 2
+    rest, with_partner = trace[0].after
+    assert rest == (rec(2, 0, -1, 1, 1),)
+    assert len(with_partner) == 2 and with_partner[1][:3] == rec(3, 1, 1)[:3]
 
 
 def test_pull_equal_refuses_smaller_interval_below():
-    psi = Parameter((blk(3, 1, 1), blk(3, 1, 1), blk(2, 1, 1)))
-    order = AdmissibleOrder(((0, 1, 2),))
-    data = SignedData((0, 0, 0), (1, 1, 1))
-    with pytest.raises(ReductionError):
-        pull_equal(psi, order, data, 0)
+    # A strictly smaller same-zeta interval below the equal pair is pulled
+    # first, so Pull-equal is never applied with one present.
+    blocks = (blk(3, 1, 1), blk(3, 1, 1), blk(2, 1, 1))
+    psi = Parameter(blocks)
+    seen = 0
+    for data in candidates(psi):
+        if not quasisplit_ok(psi, data):
+            continue
+        trace = _trace(blocks, data.l, data.eta)
+        if trace:
+            assert trace[0].kind == "PullUnequal"
+            seen += 1
+    assert seen > 0
 
+
+# ---------------------------------------------------------------------------
+# Expand
+# ---------------------------------------------------------------------------
 
 def test_expand_bound_and_apply():
-    psi = Parameter((blk(5, 3, 1), blk(1, 1, 1)))
-    order = AdmissibleOrder(((0, 1),))
-    assert expand_bound(psi, order, 0) == 2
-    p2, d2 = expand(psi, order, SignedData((0, 0), (1, 1)), 0, 2)
-    assert (p2.blocks[0].A, p2.blocks[0].B) == (hi(7), hi(1))
-    assert d2.l == (2, 0)
-    # t = 0 is the identity
-    p3, d3 = expand(psi, order, SignedData((0, 0), (1, 1)), 0, 0)
-    assert p3 == psi and d3.l == (0, 0)
-    with pytest.raises(ReductionError):
-        expand(psi, order, SignedData((0, 0), (1, 1)), 0, 3)
+    assert expand_amount(rec(5, 3, 1), [rec(1, 1, 1)]) == 2
+    assert expand_amount(rec(5, 3, 1), [rec(1, 1, 1), rec(2, 2, 1)]) == 1
+    assert expand_amount(rec(5, 3, 1), [rec(1, 1, 1), rec(4, 2, -1)]) == 2
+    # The engine replaces (A, B, l) of the top block by (A + t, B - t, l + t).
+    seen = 0
+    for step in _random_fiber_steps():
+        if step.kind != "Expand":
+            continue
+        *below, (tA, tB, zeta, l, eta) = step.before
+        t = expand_amount(step.before[-1], below)
+        assert t >= 1
+        assert step.after == (tuple(below) + ((tA + 2 * t, tB - 2 * t, zeta, l + t, eta),),)
+        seen += 1
+    assert seen > 0
 
 
 def test_expand_fallback_bound_is_floor():
-    psi = Parameter((blk(5, 3, 1), blk(1, 1, -1)))
-    order = AdmissibleOrder(((0, 1),))
-    assert expand_bound(psi, order, 0) == 3  # no same-zeta block below
-    psi = Parameter((blk("7/2", "5/2", 1), blk("3/2", "3/2", -1)), group_kind=None)
-    order = AdmissibleOrder(((0, 1),))
-    assert expand_bound(psi, order, 0) == 2  # floor(5/2)
+    assert expand_amount(rec(5, 3, 1), [rec(1, 1, -1)]) == 3  # no same-zeta block below
+    assert expand_amount(rec("7/2", "5/2", 1), [rec("3/2", "3/2", -1)]) == 2  # floor(5/2)
 
 
 def test_expand_refuses_contained_interval():
-    psi = Parameter((blk(5, 1, 1), blk(3, 2, 1)))
-    order = AdmissibleOrder(((0, 1),))
-    with pytest.raises(ReductionError):
-        expand(psi, order, SignedData((0, 0), (1, 1)), 0, 1)
+    with pytest.raises(AssertionError):
+        expand_amount(rec(5, 1, 1), [rec(3, 2, 1)])
 
+
+# ---------------------------------------------------------------------------
+# Change sign
+# ---------------------------------------------------------------------------
 
 def test_change_sign_integral_involution():
-    psi = Parameter((blk(3, 0, 1),))
-    order = AdmissibleOrder(((0,),))
-    data = SignedData((1,), (1,))
-    p2, d2 = change_sign_integral(psi, order, data, 0)
-    assert p2.blocks[0].zeta == -1
-    assert d2 == data
-    p3, d3 = change_sign_integral(p2, order, d2, 0)
-    assert p3 == psi and d3 == data
+    r = rec(3, 0, 1, 1, 1)
+    kind, r2 = change_sign(r)
+    assert kind == "ChangeSignIntegral"
+    assert r2 == rec(3, 0, -1, 1, 1)
+    assert change_sign(r2) == ("ChangeSignIntegral", r)
 
 
 def test_change_sign_integral_requires_b_zero():
-    psi = Parameter((blk(3, 1, 1),))
-    order = AdmissibleOrder(((0,),))
-    with pytest.raises(ReductionError):
-        change_sign_integral(psi, order, SignedData((1,), (1,)), 0)
+    with pytest.raises(AssertionError):
+        change_sign(rec(3, 1, 1, 1, 1))
 
 
 def test_change_sign_half_cases():
-    order = AdmissibleOrder(((0,),))
     # eta = +1: l grows, eta flips
-    psi = Parameter((blk("3/2", "1/2", 1, RHO_H),))
-    p2, d2 = change_sign_half(psi, order, SignedData((0,), (1,)), 0)
-    assert (p2.blocks[0].A, p2.blocks[0].B, p2.blocks[0].zeta) == (hi("5/2"), hi("1/2"), -1)
-    assert (d2.l, d2.eta) == ((1,), (-1,))
+    assert change_sign(rec("3/2", "1/2", 1, 0, 1)) == ("ChangeSignHalf", rec("5/2", "1/2", -1, 1, -1))
     # eta = -1: l unchanged, eta flips
-    p2, d2 = change_sign_half(psi, order, SignedData((0,), (-1,)), 0)
-    assert (d2.l, d2.eta) == ((0,), (1,))
-    # maximal l with odd d: eta is first normalized to -1
-    psi = Parameter((blk("5/2", "1/2", 1, RHO_H),))  # d = 2 -> not free; use d odd
-    psi = Parameter((blk("7/2", "1/2", 1, RHO_H),))  # d = 3, free at l = 2
-    p2, d2 = change_sign_half(psi, order, SignedData((2,), (1,)), 0)
-    assert (d2.l, d2.eta) == ((2,), (1,))  # normalized to -1, then case 2
+    assert change_sign(rec("3/2", "1/2", 1, 0, -1)) == ("ChangeSignHalf", rec("5/2", "1/2", -1, 0, 1))
+    # maximal l with odd d (d = 3, free at l = 2): eta is first normalized to -1
+    assert change_sign(rec("7/2", "1/2", 1, 2, 1)) == ("ChangeSignHalf", rec("9/2", "1/2", -1, 2, 1))
 
 
 def test_change_sign_requires_bottom_position_and_opposite_zeta():
-    psi = Parameter((blk(4, 0, 1), blk(3, 0, 1)))
-    order = AdmissibleOrder(((0, 1),))
-    data = SignedData((0, 0), (1, 1))
-    with pytest.raises(ReductionError):
-        change_sign_integral(psi, order, data, 0)  # not least in the order
-    with pytest.raises(ReductionError):
-        change_sign_integral(psi, order, data, 1)  # same-zeta neighbour
+    # The engine changes the sign of the top block only when B <= 1/2 and
+    # every other block has the opposite zeta; the changed block ends least.
+    seen = 0
+    for step in _random_fiber_steps():
+        if not step.kind.startswith("ChangeSign"):
+            continue
+        *below, top = step.before
+        assert top[1] in (0, 1)
+        assert all(r[2] != top[2] for r in below)
+        ((changed, *others),) = step.after
+        assert changed[1:3] == (top[1], -top[2])
+        assert [r[:3] for r in others] == [r[:3] for r in below]
+        seen += 1
+    assert seen > 0
 
+
+# ---------------------------------------------------------------------------
+# Measure and the rewrite contract
+# ---------------------------------------------------------------------------
 
 def test_measure_and_reduction_step():
     seq = ((8, 4, 1, 0, 1), (4, 2, -1, 0, 1), (2, 0, 1, 0, 1))
@@ -199,3 +221,25 @@ def test_measure_and_reduction_step():
     assert step.decreases()
     bad = ReductionStep.make("Expand", seq, (seq,))
     assert not bad.decreases()
+
+
+def _verdict(recs):
+    return Engine()._fiber_decide(recs, None)
+
+
+def test_rewrite_contract():
+    # Every recorded step: the verdict on its input is the conjunction of the
+    # verdicts on its subproblems, each decided by a fresh engine.
+    psi = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)), group_kind="Sp-even")
+    order = AdmissibleOrder(((0, 1, 2),))
+    eng = Engine()
+    steps = []
+    for i, data in enumerate(candidates(psi)):
+        if i % 17 == 0 and quasisplit_ok(psi, data):
+            steps.extend(eng.decide(psi, order, data, collect_trace=True).trace)
+    steps.extend(_random_fiber_steps())
+    kinds = set()
+    for step in steps:
+        kinds.add(step.kind)
+        assert _verdict(step.before) == all(_verdict(sub) for sub in step.after), step
+    assert kinds == {"PullUnequal", "PullEqual", "Expand", "ChangeSignIntegral", "ChangeSignHalf"}
