@@ -43,21 +43,16 @@ from .segments import (
     speh_grid,
 )
 from .transforms import (
-    AdjacentSwap,
     TransformPreconditionError,
     reorder,
-    s_minus,
     s_minus_pair,
-    s_plus,
     s_plus_pair,
     sigma0_canonical,
     sigma0_equiv,
     sub_condition_ok,
     sup_condition_ok,
     swap_records,
-    swapped_order,
     u_pair,
-    u_transform,
 )
 from .reductions import (
     ReductionStep,

@@ -1,25 +1,25 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 comparison mismatch, 2 parse error, 3 invalid data,
-4 recursion limit exceeded.
+4 recursion limit exceeded (the ``--recursion-limit`` budget or the Python
+stack), 5 internal error (an engine invariant failed, or any other unexpected
+exception).  Commands raise library exceptions; ``main`` maps them to codes
+through the one table ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sys
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import click
 
 from .core import (
     AdmissibleOrder,
     DataError,
-    JordanBlock,
     Parameter,
     ParameterError,
-    RhoLabel,
     SignedData,
     all_admissible_orders,
     is_admissible,
@@ -27,15 +27,30 @@ from .core import (
     parameter_from_json,
     parameter_to_json,
 )
-from .engine import Engine, RecursionLimitError, Verdict
-from .halfint import hi
-from .oracle import count_three_block_classes, oracle_three_block, three_block_grid
+from .crosscheck import compare_three_block, random_three_block_shapes, three_block_shape
+from .engine import Engine, RecursionLimitError
+from .oracle import count_three_block_classes
 from .packets import enumerate_packet, packet_size
 from .transforms import reorder as reorder_data
 
+EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_RECURSION = 4
+EXIT_INTERNAL = 5
+
+# Library failures escaping a command, most specific first: (type, code,
+# message).  Click's own exceptions and sys.exit pass through untouched.
+_EXIT_CODES = (
+    (RecursionLimitError, EXIT_RECURSION, str),
+    (DataError, EXIT_INVALID, str),
+    (
+        RecursionError,
+        EXIT_RECURSION,
+        lambda exc: f"the Python stack ran out (not the --recursion-limit budget): {exc}",
+    ),
+    (Exception, EXIT_INTERNAL, lambda exc: f"internal: {type(exc).__name__}: {exc}"),
+)
 
 _EXAMPLES = {
     "moeglin-s8": {
@@ -71,8 +86,6 @@ def _load_parameter(file_: Optional[str], example: Optional[str]):
         return parameter_from_json(obj)
     except ParameterError as exc:
         _fail(EXIT_PARSE, str(exc))
-    except DataError as exc:
-        _fail(EXIT_INVALID, str(exc))
 
 
 def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
@@ -85,11 +98,8 @@ def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
         order = AdmissibleOrder(tuple(fibers))
     except ValueError as exc:
         _fail(EXIT_PARSE, f"malformed order {text!r}: {exc}")
-    try:
-        if not is_admissible(order, psi):
-            _fail(EXIT_INVALID, f"order {text!r} is not admissible")
-    except DataError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    if not is_admissible(order, psi):
+        _fail(EXIT_INVALID, f"order {text!r} is not admissible")
     return order
 
 
@@ -99,11 +109,8 @@ def _parse_data(l_text: str, eta_text: str, psi: Parameter) -> SignedData:
         eta = tuple(int(x) for x in eta_text.split(","))
     except (ValueError, AttributeError):
         _fail(EXIT_PARSE, "--l and --eta must be comma-separated integers")
-    try:
-        data = SignedData(l, eta)
-        data.check_bounds(psi)
-    except DataError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    data = SignedData(l, eta)
+    data.check_bounds(psi)
     return data
 
 
@@ -123,7 +130,21 @@ def _step_json(step) -> dict:
     }
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """A command group that turns a command's exception into its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            for kind, code, message in _EXIT_CODES:
+                if isinstance(exc, kind):
+                    _fail(code, message(exc))
+
+
+@click.group(cls=_ExitCodeGroup)
 def main():
     """Exact nonvanishing decisions and packet enumeration."""
 
@@ -142,12 +163,7 @@ def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursi
     order = _pick_order(order_text, declared, psi)
     data = _parse_data(l_text, eta_text, psi)
     engine = Engine(recursion_limit=recursion_limit)
-    try:
-        verdict = engine.decide(psi, order, data, collect_trace=trace)
-    except RecursionLimitError as exc:
-        _fail(EXIT_RECURSION, str(exc))
-    except DataError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    verdict = engine.decide(psi, order, data, collect_trace=trace)
     if fmt == "json":
         out = {"nonvanishing": verdict.nonvanishing}
         if trace:
@@ -163,27 +179,6 @@ def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursi
                 )
 
 
-def _oracle_instance(psi: Parameter) -> Tuple[int, ...]:
-    """Extract ascending (A1,B1,A2,B2,A3,B3) if psi fits the three-block family."""
-    if len(psi.blocks) != 3 or len(psi.fibers()) != 1:
-        raise DataError("oracle path needs a single fiber of three blocks")
-    blocks = sorted(psi.blocks, key=lambda b: (b.A.twice, b.B.twice))
-    if any(not (b.A.is_integral and b.B.is_integral) for b in blocks):
-        raise DataError("oracle path needs integral coordinates")
-    b1, b2, b3 = blocks
-    if not (b1.zeta == b3.zeta == 1 and b2.zeta == -1):
-        raise DataError("oracle path needs the zeta pattern (+1, -1, +1)")
-    if not (
-        b3.A >= b2.A >= b1.A and b3.B >= b2.B >= b1.B
-    ):
-        raise DataError("oracle path needs ascending A and B chains")
-    return (
-        b1.A.as_int(), b1.B.as_int(),
-        b2.A.as_int(), b2.B.as_int(),
-        b3.A.as_int(), b3.B.as_int(),
-    )
-
-
 @main.command("size")
 @click.option("--file", "file_", type=click.Path(), default=None)
 @click.option("--example", default=None)
@@ -195,30 +190,24 @@ def _oracle_instance(psi: Parameter) -> Tuple[int, ...]:
 @click.option("--recursion-limit", default=10000, type=int)
 def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recursion_limit):
     psi, declared = _load_parameter(file_, example)
-    try:
-        if use_oracle:
-            inst = _oracle_instance(psi)
-            count = count_three_block_classes(*inst)
-            counts = {"oracle": count}
-        elif all_orders:
-            orders = all_admissible_orders(psi, limit=500)
-            counts = {}
-            for i, order in enumerate(orders):
-                counts[f"order-{i}"] = packet_size(
-                    psi, order, jobs=jobs, engine=Engine(recursion_limit)
-                )
-            values = set(counts.values())
-            if len(values) > 1:
-                _fail(1, f"packet size differs across orders: {counts}")
-            count = counts[next(iter(counts))]
-        else:
-            order = _pick_order(order_text, declared, psi)
-            count = packet_size(psi, order, jobs=jobs, engine=Engine(recursion_limit))
-            counts = {"size": count}
-    except RecursionLimitError as exc:
-        _fail(EXIT_RECURSION, str(exc))
-    except DataError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    if use_oracle:
+        count = count_three_block_classes(*three_block_shape(psi))
+        counts = {"oracle": count}
+    elif all_orders:
+        orders = all_admissible_orders(psi, limit=500)
+        counts = {}
+        for i, order in enumerate(orders):
+            counts[f"order-{i}"] = packet_size(
+                psi, order, jobs=jobs, engine=Engine(recursion_limit)
+            )
+        values = set(counts.values())
+        if len(values) > 1:
+            _fail(EXIT_MISMATCH, f"packet size differs across orders: {counts}")
+        count = counts[next(iter(counts))]
+    else:
+        order = _pick_order(order_text, declared, psi)
+        count = packet_size(psi, order, jobs=jobs, engine=Engine(recursion_limit))
+        counts = {"size": count}
     if fmt == "json":
         click.echo(json.dumps({"packet_size": count, "counts": counts}))
     else:
@@ -238,12 +227,7 @@ def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recu
 def cmd_enumerate(file_, example, order_text, jobs, fmt, recursion_limit):
     psi, declared = _load_parameter(file_, example)
     order = _pick_order(order_text, declared, psi)
-    try:
-        members = enumerate_packet(psi, order, jobs=jobs, engine=Engine(recursion_limit))
-    except RecursionLimitError as exc:
-        _fail(EXIT_RECURSION, str(exc))
-    except DataError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    members = enumerate_packet(psi, order, jobs=jobs, engine=Engine(recursion_limit))
     if fmt == "json":
         click.echo(
             json.dumps(
@@ -278,71 +262,13 @@ def cmd_reorder(file_, example, from_text, to_text, l_text, eta_text, fmt):
         _parse_order(to_text, psi) if to_text is not None else natural_order(psi)
     )
     data = _parse_data(l_text, eta_text, psi)
-    try:
-        out = reorder_data(psi, from_order, to_order, data)
-    except DataError as exc:
-        _fail(EXIT_INVALID, str(exc))
+    out = reorder_data(psi, from_order, to_order, data)
     if fmt == "json":
         click.echo(json.dumps({"l": list(out.l), "eta": list(out.eta)}))
     else:
         click.echo(
             "l=" + ",".join(map(str, out.l)) + " eta=" + ",".join(map(str, out.eta))
         )
-
-
-def three_block_parameter(A1, B1, A2, B2, A3, B3) -> Tuple[Parameter, AdmissibleOrder]:
-    """Build the three-block family instance with its descending natural order.
-
-    Occurrences are listed greatest first, so data indices (0, 1, 2)
-    correspond to blocks (3, 2, 1) of the ascending labelling.
-    """
-    rho = RhoLabel("r1", "orthogonal", 1)
-    blocks = (
-        JordanBlock(rho, hi(A3), hi(B3), 1),
-        JordanBlock(rho, hi(A2), hi(B2), -1),
-        JordanBlock(rho, hi(A1), hi(B1), 1),
-    )
-    psi = Parameter(blocks, group_kind=None)
-    return psi, AdmissibleOrder(((0, 1, 2),))
-
-
-def compare_three_block(A1, B1, A2, B2, A3, B3, engine: Optional[Engine] = None):
-    """Full-grid oracle/engine comparison; returns the list of mismatches."""
-    from .characters import quasisplit_ok
-
-    psi, order = three_block_parameter(A1, B1, A2, B2, A3, B3)
-    engine = engine or Engine()
-    mismatches = []
-    for l1, e1, l2, e2, l3, e3 in three_block_grid(A1, B1, A2, B2, A3, B3):
-        want = oracle_three_block(A1, B1, A2, B2, A3, B3, l1, e1, l2, e2, l3, e3)
-        data = SignedData((l3, l2, l1), (e3, e2, e1))
-        if not quasisplit_ok(psi, data):
-            if want:
-                mismatches.append(((l1, e1, l2, e2, l3, e3), want, "non-quasisplit"))
-            continue
-        got = engine._decide_unchecked(psi, order, data).nonvanishing
-        if got != want:
-            mismatches.append(((l1, e1, l2, e2, l3, e3), want, got))
-    return mismatches
-
-
-def random_three_block_shapes(count: int, max_a: int, seed: int) -> List[Tuple[int, ...]]:
-    """Random (A1,B1,A2,B2,A3,B3) satisfying the three-block hypotheses."""
-    rng = random.Random(seed)
-    shapes = []
-    while len(shapes) < count:
-        A3 = rng.randint(0, max_a)
-        A2 = rng.randint(0, A3)
-        A1 = rng.randint(0, A2)
-        B1 = rng.randint(0, A1)
-        B2 = rng.randint(B1, A2) if B1 <= A2 else None
-        if B2 is None:
-            continue
-        B3 = rng.randint(B2, A3) if B2 <= A3 else None
-        if B3 is None:
-            continue
-        shapes.append((A1, B1, A2, B2, A3, B3))
-    return shapes
 
 
 @main.command("oracle-compare")
@@ -358,11 +284,7 @@ def cmd_oracle_compare(file_, example, count, max_a, seed, fmt):
         shapes = random_three_block_shapes(count, max_a, seed)
     else:
         psi, _ = _load_parameter(file_, example)
-        try:
-            inst = _oracle_instance(psi)
-        except DataError as exc:
-            _fail(EXIT_INVALID, str(exc))
-        shapes = [inst]
+        shapes = [three_block_shape(psi)]
     total_mismatches = 0
     first_witness = None
     for shape in shapes:
@@ -385,7 +307,7 @@ def cmd_oracle_compare(file_, example, count, max_a, seed, fmt):
         if first_witness is not None:
             click.echo(f"witness: {first_witness}")
     if total_mismatches:
-        sys.exit(1)
+        sys.exit(EXIT_MISMATCH)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,95 @@
+"""Differential check of the engine against the three-block closed form.
+
+The three-block family (integral coordinates, zeta pattern (+1, -1, +1),
+ascending A and B chains) has an independent closed-form classification in
+``oracle``.  ``three_block_parameter`` and ``three_block_shape`` convert
+between a shape ``(A1, B1, A2, B2, A3, B3)`` and the parameter it describes;
+``compare_three_block`` diffs the engine against the oracle over the shape's
+full ``(l, eta)`` grid.  The oracle itself imports nothing from this package.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import List, Optional, Tuple
+
+from .core import AdmissibleOrder, DataError, JordanBlock, Parameter, RhoLabel, SignedData
+from .engine import Engine
+from .halfint import hi
+from .oracle import oracle_three_block, three_block_grid
+
+
+def three_block_parameter(A1, B1, A2, B2, A3, B3) -> Tuple[Parameter, AdmissibleOrder]:
+    """Build the three-block family instance with its descending natural order.
+
+    Occurrences are listed greatest first, so data indices (0, 1, 2)
+    correspond to blocks (3, 2, 1) of the ascending labelling.
+    """
+    rho = RhoLabel("r1", "orthogonal", 1)
+    blocks = (
+        JordanBlock(rho, hi(A3), hi(B3), 1),
+        JordanBlock(rho, hi(A2), hi(B2), -1),
+        JordanBlock(rho, hi(A1), hi(B1), 1),
+    )
+    psi = Parameter(blocks, group_kind=None)
+    return psi, AdmissibleOrder(((0, 1, 2),))
+
+
+def three_block_shape(psi: Parameter) -> Tuple[int, ...]:
+    """Extract ascending (A1,B1,A2,B2,A3,B3) if psi fits the three-block family."""
+    if len(psi.blocks) != 3 or len(psi.fibers()) != 1:
+        raise DataError("oracle path needs a single fiber of three blocks")
+    blocks = sorted(psi.blocks, key=lambda b: (b.A.twice, b.B.twice))
+    if any(not (b.A.is_integral and b.B.is_integral) for b in blocks):
+        raise DataError("oracle path needs integral coordinates")
+    b1, b2, b3 = blocks
+    if not (b1.zeta == b3.zeta == 1 and b2.zeta == -1):
+        raise DataError("oracle path needs the zeta pattern (+1, -1, +1)")
+    if not (
+        b3.A >= b2.A >= b1.A and b3.B >= b2.B >= b1.B
+    ):
+        raise DataError("oracle path needs ascending A and B chains")
+    return (
+        b1.A.as_int(), b1.B.as_int(),
+        b2.A.as_int(), b2.B.as_int(),
+        b3.A.as_int(), b3.B.as_int(),
+    )
+
+
+def compare_three_block(A1, B1, A2, B2, A3, B3, engine: Optional[Engine] = None):
+    """Full-grid oracle/engine comparison; returns the list of mismatches."""
+    from .characters import quasisplit_ok
+
+    psi, order = three_block_parameter(A1, B1, A2, B2, A3, B3)
+    engine = engine or Engine()
+    mismatches = []
+    for l1, e1, l2, e2, l3, e3 in three_block_grid(A1, B1, A2, B2, A3, B3):
+        want = oracle_three_block(A1, B1, A2, B2, A3, B3, l1, e1, l2, e2, l3, e3)
+        data = SignedData((l3, l2, l1), (e3, e2, e1))
+        if not quasisplit_ok(psi, data):
+            if want:
+                mismatches.append(((l1, e1, l2, e2, l3, e3), want, "non-quasisplit"))
+            continue
+        got = engine._decide_unchecked(psi, order, data).nonvanishing
+        if got != want:
+            mismatches.append(((l1, e1, l2, e2, l3, e3), want, got))
+    return mismatches
+
+
+def random_three_block_shapes(count: int, max_a: int, seed: int) -> List[Tuple[int, ...]]:
+    """Random (A1,B1,A2,B2,A3,B3) satisfying the three-block hypotheses."""
+    rng = random.Random(seed)
+    shapes = []
+    while len(shapes) < count:
+        A3 = rng.randint(0, max_a)
+        A2 = rng.randint(0, A3)
+        A1 = rng.randint(0, A2)
+        B1 = rng.randint(0, A1)
+        B2 = rng.randint(B1, A2) if B1 <= A2 else None
+        if B2 is None:
+            continue
+        B3 = rng.randint(B2, A3) if B2 <= A3 else None
+        if B3 is None:
+            continue
+        shapes.append((A1, B1, A2, B2, A3, B3))
+    return shapes

@@ -23,10 +23,8 @@ def candidates(psi: Parameter) -> List[SignedData]:
     for blk in psi.blocks:
         opts = []
         for l in range(blk.l_max() + 1):
-            if blk.eta_is_free_at(l):
-                opts.append((l, 1))
-            else:
-                opts.append((l, 1))
+            opts.append((l, 1))
+            if not blk.eta_is_free_at(l):
                 opts.append((l, -1))
         per_block.append(opts)
     out = []
@@ -37,16 +35,19 @@ def candidates(psi: Parameter) -> List[SignedData]:
     return out
 
 
+def _members(psi, order, cands, engine: Engine) -> List[SignedData]:
+    """The candidates that are quasisplit and nonvanishing."""
+    return [
+        data
+        for data in cands
+        if quasisplit_ok(psi, data)
+        and engine._decide_unchecked(psi, order, data).nonvanishing
+    ]
+
+
 def _eval_chunk(args):
     psi, order, chunk, recursion_limit = args
-    engine = Engine(recursion_limit)
-    kept = []
-    for data in chunk:
-        if quasisplit_ok(psi, data) and engine._decide_unchecked(
-            psi, order, data
-        ).nonvanishing:
-            kept.append(data)
-    return kept
+    return _members(psi, order, chunk, Engine(recursion_limit))
 
 
 def enumerate_packet(
@@ -72,12 +73,7 @@ def enumerate_packet(
             for part in pool.map(_eval_chunk, chunks):
                 kept.extend(part)
     else:
-        kept = [
-            data
-            for data in cands
-            if quasisplit_ok(psi, data)
-            and engine._decide_unchecked(psi, order, data).nonvanishing
-        ]
+        kept = _members(psi, order, cands, engine)
     kept.sort(key=lambda d: (d.l, d.eta))
     return kept
 

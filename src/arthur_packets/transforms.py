@@ -11,18 +11,18 @@ two admissible orders (reorder).
 The pair formulas only depend on each block's A - B; helpers here take those
 integers directly.  ``swap_records`` applies them to fiber records, the form
 in which both the decision engine and ``reorder`` transport (l, eta).
+``reorder`` is the one Parameter-level transport: a single adjacent swap is
+``reorder`` to the order with that pair exchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from .core import (
     AdmissibleOrder,
     DataError,
     Parameter,
-    RhoLabel,
     Sign,
     SignedData,
     is_admissible,
@@ -211,108 +211,8 @@ def sigma0_canonical(psi: Parameter, data: SignedData) -> SignedData:
 
 
 # ---------------------------------------------------------------------------
-# Parameter-level API
+# Parameter-level transport
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdjacentSwap:
-    """Identifies the greater block of an adjacent pair in a per-rho order.
-
-    ``k`` indexes the fiber order counted from the least block: the pair is
-    the blocks at positions k and k-1, with 2 <= k <= n.
-    """
-
-    rho: RhoLabel
-    k: int
-
-
-def _swap_positions(
-    psi: Parameter, order: AdmissibleOrder, swap: AdjacentSwap
-) -> Tuple[int, int, Tuple[int, ...]]:
-    fiber = order.fiber_for(psi, swap.rho)
-    n = len(fiber)
-    if not (2 <= swap.k <= n):
-        raise DataError(f"swap position k={swap.k} out of range for fiber of size {n}")
-    upper = fiber[n - swap.k]
-    lower = fiber[n - swap.k + 1]
-    return upper, lower, fiber
-
-
-def swapped_order(
-    psi: Parameter, order: AdmissibleOrder, swap: AdjacentSwap
-) -> AdmissibleOrder:
-    upper, lower, fiber = _swap_positions(psi, order, swap)
-    new_fiber = list(fiber)
-    i = new_fiber.index(upper)
-    new_fiber[i], new_fiber[i + 1] = new_fiber[i + 1], new_fiber[i]
-    per_rho = tuple(
-        tuple(new_fiber) if t == fiber else t for t in order.per_rho
-    )
-    return AdmissibleOrder(per_rho)
-
-
-def _apply_pair(
-    psi: Parameter,
-    data: SignedData,
-    upper: int,
-    lower: int,
-    new_upper_vals: Tuple[int, Sign],
-    new_lower_vals: Tuple[int, Sign],
-) -> SignedData:
-    l = list(data.l)
-    eta = list(data.eta)
-    l[upper], eta[upper] = new_upper_vals
-    l[lower], eta[lower] = new_lower_vals
-    return SignedData(tuple(l), tuple(eta))
-
-
-def s_plus(
-    swap: AdjacentSwap, psi: Parameter, order: AdmissibleOrder, data: SignedData
-) -> SignedData:
-    """Same-zeta adjacent swap with the containing block above."""
-    data.check_bounds(psi)
-    upper, lower, _ = _swap_positions(psi, order, swap)
-    bu, bl = psi.blocks[upper], psi.blocks[lower]
-    if bu.zeta != bl.zeta:
-        raise DataError("s_plus requires equal zeta")
-    if not (bu.B <= bl.B and bu.A >= bl.A):
-        raise DataError("s_plus requires the upper interval to contain the lower one")
-    lk2, ek2, l12, e12 = s_plus_pair(
-        bu.d, bl.d, data.l[upper], data.eta[upper], data.l[lower], data.eta[lower]
-    )
-    return _apply_pair(psi, data, upper, lower, (lk2, ek2), (l12, e12))
-
-
-def s_minus(
-    swap: AdjacentSwap, psi: Parameter, order: AdmissibleOrder, data: SignedData
-) -> SignedData:
-    """Same-zeta adjacent swap with the containing block below."""
-    data.check_bounds(psi)
-    upper, lower, _ = _swap_positions(psi, order, swap)
-    bu, bl = psi.blocks[upper], psi.blocks[lower]
-    if bu.zeta != bl.zeta:
-        raise DataError("s_minus requires equal zeta")
-    if not (bl.B <= bu.B and bl.A >= bu.A):
-        raise DataError("s_minus requires the lower interval to contain the upper one")
-    l_big, e_big, l_small, e_small = s_minus_pair(
-        bl.d, bu.d, data.l[lower], data.eta[lower], data.l[upper], data.eta[upper]
-    )
-    return _apply_pair(psi, data, upper, lower, (l_small, e_small), (l_big, e_big))
-
-
-def u_transform(
-    swap: AdjacentSwap, psi: Parameter, order: AdmissibleOrder, data: SignedData
-) -> SignedData:
-    data.check_bounds(psi)
-    upper, lower, _ = _swap_positions(psi, order, swap)
-    bu, bl = psi.blocks[upper], psi.blocks[lower]
-    if bu.zeta == bl.zeta:
-        raise DataError("u_transform requires opposite zeta")
-    lu, eu, ll, el = u_pair(
-        bu.d, bl.d, data.l[upper], data.eta[upper], data.l[lower], data.eta[lower]
-    )
-    return _apply_pair(psi, data, upper, lower, (lu, eu), (ll, el))
-
 
 def reorder(
     psi: Parameter,

@@ -9,11 +9,7 @@ import time
 from click.testing import CliRunner
 
 from arthur_packets.characters import quasisplit_ok, translate_M_to_W
-from arthur_packets.cli import (
-    compare_three_block,
-    main,
-    random_three_block_shapes,
-)
+from arthur_packets.cli import main
 from arthur_packets.core import (
     AdmissibleOrder,
     JordanBlock,
@@ -22,6 +18,7 @@ from arthur_packets.core import (
     SignedData,
     all_admissible_orders,
 )
+from arthur_packets.crosscheck import compare_three_block, random_three_block_shapes
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt, hi
 from arthur_packets.oracle import oracle_two_block
@@ -34,16 +31,13 @@ from arthur_packets.segments import (
     linked_segments,
 )
 from arthur_packets.transforms import (
-    AdjacentSwap,
     reorder,
     s_minus_pair,
     s_plus_pair,
     sigma0_canonical,
     sub_condition_ok,
     sup_condition_ok,
-    swapped_order,
     u_pair,
-    u_transform,
 )
 
 RHO = RhoLabel("r", "orthogonal", 1)
@@ -325,10 +319,9 @@ def test_criterion_6_character_identity_elementary_swap():
             )
         )
         order = AdmissibleOrder(((0, 1),))
+        order2 = AdmissibleOrder(((1, 0),))
         data = SignedData((0, 0), (rng.choice((1, -1)), rng.choice((1, -1))))
-        swap = AdjacentSwap(RHO, 2)
-        order2 = swapped_order(psi, order, swap)
-        data2 = u_transform(swap, psi, order, data)
+        data2 = reorder(psi, order, order2, data)
         c1, _ = translate_M_to_W(psi, order, data)
         c2, _ = translate_M_to_W(psi, order2, data2)
         assert c1.values == c2.values, (tC1, tC2, z2, data)

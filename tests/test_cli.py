@@ -1,8 +1,10 @@
 import json
+import sys
 
 from click.testing import CliRunner
 
 from arthur_packets.cli import main
+from arthur_packets.reductions import ReductionStep
 
 runner = CliRunner()
 
@@ -88,6 +90,41 @@ def test_recursion_limit_applies_with_jobs():
             ],
         )
         assert res.exit_code == 4, (jobs, res.output)
+
+
+def test_internal_error_exit_five(monkeypatch):
+    # A failed engine invariant is not a verification mismatch (exit 1).
+    monkeypatch.setattr(ReductionStep, "decreases", lambda self: False)
+    res = runner.invoke(
+        main, ["decide", "--example", "moeglin-s8", "--l", "10,10,2", "--eta", "1,1,1"]
+    )
+    assert res.exit_code == 5, res.output
+    assert res.stderr.startswith("error: internal: AssertionError: termination measure")
+    assert res.stderr.count("\n") == 1
+
+
+def test_python_stack_exhaustion_exit_four(tmp_path):
+    # A staircase deep enough to exhaust a small Python stack long before the
+    # default step budget: exit 4, naming the stack rather than the budget.
+    n = 200
+    obj = {
+        "group": None,
+        "blocks": [
+            {"rho": "r", "A": i + 3, "B": i, "zeta": 1 if i % 2 == 0 else -1} for i in range(n)
+        ],
+    }
+    path = tmp_path / "staircase.json"
+    path.write_text(json.dumps(obj))
+    ones = ",".join(["1"] * n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        res = runner.invoke(main, ["decide", "--file", str(path), "--l", ones, "--eta", ones])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.exit_code == 4, res.output
+    assert "Python stack" in res.stderr
+    assert "budget of" not in res.stderr
 
 
 def test_enumerate_sorted_and_consistent(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from arthur_packets.core import (
     AdmissibleOrder,
-    DataError,
     JordanBlock,
     Parameter,
     RhoLabel,
@@ -14,20 +13,15 @@ from arthur_packets.core import (
 )
 from arthur_packets.halfint import hi
 from arthur_packets.transforms import (
-    AdjacentSwap,
     TransformPreconditionError,
     reorder,
-    s_minus,
     s_minus_pair,
-    s_plus,
     s_plus_pair,
     sigma0_canonical,
     sigma0_equiv,
     sub_condition_ok,
     sup_condition_ok,
-    swapped_order,
     u_pair,
-    u_transform,
 )
 
 RHO = RhoLabel("r", "orthogonal", 1)
@@ -148,30 +142,26 @@ def test_s_plus_bijective_exhaustive():
 
 
 def test_parameter_level_swaps():
+    # One adjacent swap at the Parameter level is reorder to the swapped order.
     psi = Parameter((blk(4, 1, 1), blk(3, 2, 1)))
     order = AdmissibleOrder(((0, 1),))
-    swap = AdjacentSwap(RHO, 2)
+    order2 = AdmissibleOrder(((1, 0),))
     data = SignedData((1, 1), (1, -1))
-    order2 = swapped_order(psi, order, swap)
-    assert order2.per_rho == ((1, 0),)
-    data2 = s_plus(swap, psi, order, data)
-    back = s_minus(swap, psi, order2, data2)
+    data2 = reorder(psi, order, order2, data)  # container above: S+
+    lb, eb, ls, es = s_plus_pair(3, 1, 1, 1, 1, -1)
+    assert data2 == SignedData((lb, ls), (eb, es))
+    back = reorder(psi, order2, order, data2)  # container below: S-
     assert sigma0_equiv(back, data, psi)
-    with pytest.raises(DataError):
-        s_minus(swap, psi, order, data)  # wrong nesting direction
-    with pytest.raises(DataError):
-        u_transform(swap, psi, order, data)  # zetas equal
 
 
 def test_u_transform_opposite_zeta():
     psi = Parameter((blk(4, 1, 1), blk(3, 2, -1)))
     order = AdmissibleOrder(((0, 1),))
-    swap = AdjacentSwap(RHO, 2)
+    order2 = AdmissibleOrder(((1, 0),))
     data = SignedData((1, 0), (1, -1))
-    order2 = swapped_order(psi, order, swap)
-    data2 = u_transform(swap, psi, order, data)
+    data2 = reorder(psi, order, order2, data)
     assert data2.l == data.l
-    back = u_transform(swap, psi, order2, data2)
+    back = reorder(psi, order2, order, data2)
     assert back == data
 
 
