@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 comparison mismatch, 2 parse error, 3 invalid data,
-4 recursion limit exceeded (the ``--recursion-limit`` budget or the Python
-stack), 5 internal error (an engine invariant failed, or any other unexpected
-exception).  Commands raise library exceptions; ``main`` maps them to codes
-through the one table ``_EXIT_CODES``.
+4 the ``--recursion-limit`` step budget exceeded, 5 internal error (an engine
+invariant failed, or any other unexpected exception).  Commands raise library
+exceptions; ``main`` maps them to codes through the one table ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ EXIT_INTERNAL = 5
 _EXIT_CODES = (
     (RecursionLimitError, EXIT_RECURSION, str),
     (DataError, EXIT_INVALID, str),
-    (
-        RecursionError,
-        EXIT_RECURSION,
-        lambda exc: f"the Python stack ran out (not the --recursion-limit budget): {exc}",
-    ),
     (Exception, EXIT_INTERNAL, lambda exc: f"internal: {type(exc).__name__}: {exc}"),
 )
 
@@ -80,7 +74,7 @@ def _load_parameter(file_: Optional[str], example: Optional[str]):
         try:
             with open(file_, "r") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             _fail(EXIT_PARSE, f"cannot read parameter file: {exc}")
     try:
         return parameter_from_json(obj)

@@ -1,9 +1,11 @@
 """Decision engine: nonvanishing of a packet member for given (l, eta).
 
 The engine normalizes each rho-fiber to the natural order (A descending, ties
-by B), transporting (l, eta) with the adjacent-swap transforms, and then
-recursively rewrites the configuration with Pull / Expand / Change sign until
-every remaining piece is in good shape, where the basic condition decides.
+by B), transporting (l, eta) with the adjacent-swap transforms.  The pure kernel
+``rewrite`` maps a canonical fiber to a verdict or to the subproblems of one
+Pull / Expand / Change-sign step; ``Engine`` walks that conjunction tree on an
+explicit stack until every remaining piece is in good shape, where the basic
+condition decides.
 
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
@@ -12,7 +14,7 @@ ascending order (index 0 = least block), with tA, tB doubled coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .characters import quasisplit_ok
 from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible
@@ -34,10 +36,6 @@ from .transforms import (
 
 class RecursionLimitError(RuntimeError):
     """The engine exceeded its reduction-step budget."""
-
-    def __init__(self, message: str, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
 
 
 @dataclass(frozen=True)
@@ -140,6 +138,120 @@ def _chunks_verdict(recs: Sequence[Rec], chunks: Sequence[Tuple[int, ...]]) -> b
 
 
 # ---------------------------------------------------------------------------
+# Rewrite kernel
+# ---------------------------------------------------------------------------
+
+def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, Tuple]]:
+    """One rewrite of a canonical fiber: ``(step or None, outcome)``.
+
+    ``outcome`` is the verdict or the tuple of subproblems whose conjunction
+    is the verdict; a Pull whose gate fails returns its step and False.
+    """
+    n = len(seq)
+    if n <= 1:
+        return None, True
+
+    # Fast fail: necessary conditions on adjacent same-zeta pairs.
+    for i in range(n - 1):
+        lo, up = seq[i], seq[i + 1]
+        if lo[2] != up[2]:
+            continue
+        if up[1] >= lo[1]:
+            if not basic_ok(lo, up):
+                return None, False
+        else:
+            if not sup_condition_ok(_d(up), _d(lo), up[3], up[4], lo[3], lo[4]):
+                return None, False
+
+    chunks = _chunk_partition(seq)
+    if chunks is not None:
+        return None, _chunks_verdict(seq, chunks)
+
+    # Retire a far-away good-shape suffix as an independent conjunct.
+    for k in range(1, n):
+        suffix = seq[k:]
+        sub_chunks = _chunk_partition(suffix)
+        if sub_chunks is None:
+            continue
+        prefix_idx = list(range(k))
+        if all(
+            rec[1] > far_from_set_threshold_twice(seq, prefix_idx, 2)
+            for rec in suffix
+        ):
+            return None, _chunks_verdict(suffix, sub_chunks) and (seq[:k],)
+
+    P = seq[-1]
+    rest = list(seq[:-1])
+
+    def contained(rec: Rec) -> bool:
+        return (
+            rec[2] == P[2]
+            and rec[1] >= P[1]
+            and rec[0] <= P[0]
+            and (rec[1] > P[1] or rec[0] < P[0])
+        )
+
+    pull = [i for i in range(n - 1) if contained(seq[i])]
+    equal = [
+        i
+        for i in range(n - 1)
+        if seq[i][2] == P[2] and seq[i][0] == P[0] and seq[i][1] == P[1]
+    ]
+
+    if pull:
+        q = max(pull, key=lambda i: (seq[i][0], seq[i][1], i))
+        work = list(seq)
+        try:
+            for j in range(q, n - 2):
+                work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+            P = work[-1]
+            Q = work[-2]
+            # S+ on the nested pair: P's data in the order with Q above.
+            P_swapped, _ = swap_records(Q, P)
+        except TransformPreconditionError:
+            return None, False
+        rest = work[:-2]
+        # B-equalizing co-shift of the retired pair: shift P up by
+        # (B_Q - B_P); the basic condition is co-shift invariant.
+        delta = Q[1] - P[1]
+        P_shifted = (P[0] + delta, Q[1], P[2], P[3], P[4])
+        step = ReductionStep.make(
+            "PullUnequal", seq, (rest, rest + [Q], rest + [P_swapped])
+        )
+        return step, basic_ok(Q, P_shifted) and step.after
+
+    if equal:
+        r = max(equal)
+        work = list(seq)
+        for j in range(r, n - 2):
+            # Blocks between equal-interval partners share the key and
+            # have the opposite zeta, so these are all U-swaps.
+            work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+        P = work[-1]
+        R = work[-2]
+        rest = work[:-2]
+        step = ReductionStep.make("PullEqual", seq, (rest, rest + [R]))
+        return step, basic_ok(R, P) and step.after
+
+    t = expand_amount(P, rest)
+    if t >= 1:
+        expanded = (P[0] + 2 * t, P[1] - 2 * t, P[2], P[3] + t, P[4])
+        step = ReductionStep.make("Expand", seq, (rest + [expanded],))
+        return step, step.after
+
+    # B of the top block is 0 or 1/2, and every lower block has the
+    # opposite zeta: bubble it to the bottom with U-swaps, change sign.
+    if any(rec[2] == P[2] for rec in rest):
+        raise AssertionError("Change-sign site: a lower block has the same zeta")
+    work = list(seq)
+    for j in range(n - 2, -1, -1):
+        work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+    kind, changed = change_sign(work[0])
+    step = ReductionStep.make(kind, seq, ([changed] + work[1:],))
+    return step, step.after
+
+
+# ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
@@ -148,6 +260,7 @@ class Engine:
         self.recursion_limit = recursion_limit
         self._memo = {}
         self._steps = 0
+        self._decided = {}  # verdicts reached in the current decision
 
     # -- fiber normalization ---------------------------------------------
 
@@ -175,159 +288,48 @@ class Engine:
     # -- fiber decision ---------------------------------------------------
 
     def _fiber_decide(self, seq: Sequence[Rec], trace: Optional[list]) -> bool:
-        try:
-            canon = self._canonicalize(seq)
-        except TransformPreconditionError:
-            return False
-        hit = self._memo.get(canon)
-        if hit is not None and trace is None:
-            return hit
-        verdict = self._decide_natural(canon, trace)
-        self._memo[canon] = verdict
-        return verdict
+        """Decide a fiber by a depth-first walk of ``rewrite``'s conjunctions.
 
-    def _record(self, trace: Optional[list], step: ReductionStep) -> None:
-        if not step.decreases():
-            raise AssertionError(
-                f"termination measure failed to decrease on {step.kind}: "
-                f"{step.measure_before} -> {step.measure_after}"
-            )
-        self._steps += 1
-        if self._steps > self.recursion_limit:
-            raise RecursionLimitError(
-                f"reduction-step budget of {self.recursion_limit} exceeded",
-                trace or (),
-            )
-        if trace is not None:
-            trace.append(step)
-
-    def _decide_natural(self, seq: Tuple[Rec, ...], trace: Optional[list]) -> bool:
-        n = len(seq)
-        if n <= 1:
-            return True
-
-        # Fast fail: necessary conditions on adjacent same-zeta pairs.
-        for i in range(n - 1):
-            lo, up = seq[i], seq[i + 1]
-            if lo[2] != up[2]:
-                continue
-            if up[1] >= lo[1]:
-                if not basic_ok(lo, up):
-                    return False
-            else:
-                if not sup_condition_ok(_d(up), _d(lo), up[3], up[4], lo[3], lo[4]):
-                    return False
-
-        chunks = _chunk_partition(seq)
-        if chunks is not None:
-            return _chunks_verdict(seq, chunks)
-
-        # Retire a far-away good-shape suffix as an independent conjunct.
-        for k in range(1, n):
-            suffix = seq[k:]
-            sub_chunks = _chunk_partition(suffix)
-            if sub_chunks is None:
-                continue
-            prefix_idx = list(range(k))
-            if all(
-                rec[1] > far_from_set_threshold_twice(seq, prefix_idx, 2)
-                for rec in suffix
-            ):
-                if not _chunks_verdict(suffix, sub_chunks):
-                    return False
-                return self._fiber_decide(seq[:k], trace)
-
-        P = seq[-1]
-        rest = list(seq[:-1])
-
-        def contained(rec: Rec) -> bool:
-            return (
-                rec[2] == P[2]
-                and rec[1] >= P[1]
-                and rec[0] <= P[0]
-                and (rec[1] > P[1] or rec[0] < P[0])
-            )
-
-        pull = [i for i in range(n - 1) if contained(seq[i])]
-        equal = [
-            i
-            for i in range(n - 1)
-            if seq[i][2] == P[2] and seq[i][0] == P[0] and seq[i][1] == P[1]
-        ]
-
-        if pull:
-            q = max(pull, key=lambda i: (seq[i][0], seq[i][1], i))
-            work = list(seq)
+        A stack frame closes, memoized, once a subproblem fails or all hold.
+        With a trace, only this decision's verdicts are reused.
+        """
+        known = self._memo if trace is None else self._decided
+        stack: List[Tuple[Tuple[Rec, ...], Iterator]] = []
+        pending = seq
+        while True:
             try:
-                for j in range(q, n - 2):
-                    work[j], work[j + 1] = swap_records(work[j], work[j + 1])
-                P = work[-1]
-                Q = work[-2]
-                # S+ on the nested pair: P's data in the order with Q above.
-                P_swapped, _ = swap_records(Q, P)
+                canon = self._canonicalize(pending)
             except TransformPreconditionError:
-                return False
-            rest = work[:-2]
-            # B-equalizing co-shift of the retired pair: shift P up by
-            # (B_Q - B_P); the basic condition is co-shift invariant.
-            delta = Q[1] - P[1]
-            P_shifted = (P[0] + delta, Q[1], P[2], P[3], P[4])
-            self._record(
-                trace,
-                ReductionStep.make(
-                    "PullUnequal",
-                    seq,
-                    (tuple(rest), tuple(rest + [Q]), tuple(rest + [P_swapped])),
-                ),
-            )
-            if not basic_ok(Q, P_shifted):
-                return False
-            return (
-                self._fiber_decide(tuple(rest), trace)
-                and self._fiber_decide(tuple(rest + [Q]), trace)
-                and self._fiber_decide(tuple(rest + [P_swapped]), trace)
-            )
-
-        if equal:
-            r = max(equal)
-            work = list(seq)
-            for j in range(r, n - 2):
-                # Blocks between equal-interval partners share the key and
-                # have the opposite zeta, so these are all U-swaps.
-                work[j], work[j + 1] = swap_records(work[j], work[j + 1])
-            P = work[-1]
-            R = work[-2]
-            rest = work[:-2]
-            self._record(
-                trace,
-                ReductionStep.make(
-                    "PullEqual", seq, (tuple(rest), tuple(rest + [R]))
-                ),
-            )
-            if not basic_ok(R, P):
-                return False
-            return self._fiber_decide(tuple(rest), trace) and self._fiber_decide(
-                tuple(rest + [R]), trace
-            )
-
-        t = expand_amount(P, rest)
-        if t >= 1:
-            expanded = (P[0] + 2 * t, P[1] - 2 * t, P[2], P[3] + t, P[4])
-            new_seq = tuple(rest + [expanded])
-            self._record(trace, ReductionStep.make("Expand", seq, (new_seq,)))
-            return self._fiber_decide(new_seq, trace)
-
-        # B of the top block is 0 or 1/2, and every lower block has the
-        # opposite zeta: bubble it to the bottom with U-swaps, change sign.
-        if any(rec[2] == P[2] for rec in rest):
-            raise AssertionError("Change-sign site: a lower block has the same zeta")
-        work = list(seq)
-        for j in range(n - 2, -1, -1):
-            work[j], work[j + 1] = swap_records(work[j], work[j + 1])
-        kind, changed = change_sign(work[0])
-        new_seq = tuple([changed] + work[1:])
-        self._record(trace, ReductionStep.make(kind, seq, (new_seq,)))
-        return self._fiber_decide(new_seq, trace)
+                verdict = False
+            else:
+                verdict = known.get(canon)
+                if verdict is None:
+                    step, outcome = rewrite(canon)
+                    if step is not None:
+                        if not step.decreases():
+                            raise AssertionError(
+                                f"termination measure failed to decrease on {step.kind}: "
+                                f"{step.measure_before} -> {step.measure_after}"
+                            )
+                        self._steps += 1
+                        if self._steps > self.recursion_limit:
+                            raise RecursionLimitError(
+                                f"reduction-step budget of {self.recursion_limit} exceeded"
+                            )
+                        if trace is not None:
+                            trace.append(step)
+                    verdict = outcome is not False
+                    stack.append((canon, iter(outcome if isinstance(outcome, tuple) else ())))
+            # Hand the verdict up: open the next subproblem or close the frame.
+            while stack:
+                canon, subs = stack[-1]
+                pending = next(subs, None) if verdict else None
+                if pending is not None:
+                    break
+                stack.pop()
+                self._memo[canon] = known[canon] = verdict
+            else:
+                return verdict
 
     # -- public API -------------------------------------------------------
 
@@ -361,6 +363,7 @@ class Engine:
     ) -> Verdict:
         trace: Optional[list] = [] if collect_trace else None
         self._steps = 0
+        self._decided = {}
         ok = True
         for seq in self._fiber_seqs(psi, order, data):
             if not self._fiber_decide(seq, trace):

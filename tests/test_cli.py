@@ -103,10 +103,8 @@ def test_internal_error_exit_five(monkeypatch):
     assert res.stderr.count("\n") == 1
 
 
-def test_python_stack_exhaustion_exit_four(tmp_path):
-    # A staircase deep enough to exhaust a small Python stack long before the
-    # default step budget: exit 4, naming the stack rather than the budget.
-    n = 200
+def _staircase_file(tmp_path, n):
+    # A = i + 3, B = i with alternating zeta: one long single-fiber chain.
     obj = {
         "group": None,
         "blocks": [
@@ -115,16 +113,40 @@ def test_python_stack_exhaustion_exit_four(tmp_path):
     }
     path = tmp_path / "staircase.json"
     path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_deep_staircase_needs_no_python_stack(tmp_path):
+    # The engine walks its rewrites on an explicit stack: a staircase far
+    # deeper than a small Python stack still ends in a verdict.
+    n = 200
     ones = ",".join(["1"] * n)
+    path = _staircase_file(tmp_path, n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
-        res = runner.invoke(main, ["decide", "--file", str(path), "--l", ones, "--eta", ones])
+        res = runner.invoke(main, ["decide", "--file", path, "--l", ones, "--eta", ones])
     finally:
         sys.setrecursionlimit(limit)
-    assert res.exit_code == 4, res.output
-    assert "Python stack" in res.stderr
-    assert "budget of" not in res.stderr
+    assert res.exit_code == 0, res.output
+    assert res.output.strip() == "VANISHING"
+
+
+def test_trace_does_not_change_the_outcome(tmp_path):
+    # Shared subproblems are decided once per decision with or without a
+    # trace, so the trace lists a cold engine's 3 865 steps and stays within
+    # the default budget.
+    n = 28
+    path = _staircase_file(tmp_path, n)
+    args = ["decide", "--file", path, "--l", ",".join(["2"] * n), "--eta", ",".join(["1"] * n)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.output.strip() == "NONVANISHING"
+    res = runner.invoke(main, args + ["--trace", "--format", "json"])
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert out["nonvanishing"] is True
+    assert len(out["trace"]) == 3865
 
 
 def test_enumerate_sorted_and_consistent(tmp_path):
@@ -218,3 +240,13 @@ def test_malformed_file_exit_two(tmp_path):
     path.write_text("{not json")
     res = runner.invoke(main, ["size", "--file", str(path)])
     assert res.exit_code == 2
+
+
+def test_deeply_nested_file_exit_two(tmp_path):
+    # JSON nested too deep for the decoder is malformed input, not exit 4.
+    depth = 100_000
+    path = tmp_path / "nested.json"
+    path.write_text('{"group": null, "blocks": ' + "[" * depth + "]" * depth + "}")
+    res = runner.invoke(main, ["size", "--file", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: cannot read parameter file")

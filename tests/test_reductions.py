@@ -12,7 +12,7 @@ from arthur_packets.core import (
     SignedData,
     natural_order,
 )
-from arthur_packets.engine import Engine
+from arthur_packets.engine import Engine, rewrite
 from arthur_packets.halfint import HalfInt, hi
 from arthur_packets.packets import candidates
 from arthur_packets.reductions import (
@@ -229,7 +229,8 @@ def _verdict(recs):
 
 def test_rewrite_contract():
     # Every recorded step: the verdict on its input is the conjunction of the
-    # verdicts on its subproblems, each decided by a fresh engine.
+    # verdicts on its subproblems, each decided by a fresh engine; and the
+    # kernel alone, without engine state, reproduces the step from its input.
     psi = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)), group_kind="Sp-even")
     order = AdmissibleOrder(((0, 1, 2),))
     eng = Engine()
@@ -242,4 +243,5 @@ def test_rewrite_contract():
     for step in steps:
         kinds.add(step.kind)
         assert _verdict(step.before) == all(_verdict(sub) for sub in step.after), step
+        assert rewrite(step.before)[0] == step
     assert kinds == {"PullUnequal", "PullEqual", "Expand", "ChangeSignIntegral", "ChangeSignHalf"}
