@@ -16,10 +16,7 @@ from .core import (
     SignedData,
     all_admissible_orders,
     block_parity,
-    convert_ab,
-    discrete_diagonal_restriction,
     is_admissible,
-    is_elementary,
     natural_order,
     parameter_from_json,
     parameter_to_json,
@@ -31,16 +28,6 @@ from .characters import (
     eps_l_eta,
     quasisplit_ok,
     translate_M_to_W,
-)
-from .segments import (
-    GenSegment,
-    Segment,
-    SegmentError,
-    dual,
-    grid,
-    linked_gen,
-    linked_segments,
-    speh_grid,
 )
 from .transforms import (
     TransformPreconditionError,
@@ -66,8 +53,6 @@ from .engine import (
     RecursionLimitError,
     Verdict,
     basic_ok,
-    decide_good_shape,
-    good_shape,
 )
 from .oracle import (
     OracleError,

@@ -269,7 +269,7 @@ def cmd_reorder(file_, example, from_text, to_text, l_text, eta_text, fmt):
 @click.option("--file", "file_", type=click.Path(), default=None)
 @click.option("--example", default=None)
 @click.option("--count", default=0, type=int, help="Number of random instances.")
-@click.option("--max-a", default=12, type=int)
+@click.option("--max-a", default=12, type=click.IntRange(min=0))
 @click.option("--seed", default=20260823, type=int)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 def cmd_oracle_compare(file_, example, count, max_a, seed, fmt):

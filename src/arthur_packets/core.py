@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .halfint import HalfInt, hi
 
@@ -88,24 +88,6 @@ class JordanBlock:
     def eta_is_free_at(self, l: int) -> bool:
         """True iff eta-flips at this block with the given l are invisible mod ~Sigma_0."""
         return 2 * l == self.d + 1
-
-    def interval(self) -> Tuple[HalfInt, HalfInt]:
-        return (self.B, self.A)
-
-
-def convert_ab(a: int, b: int, tie_zeta: Optional[Sign] = None) -> Tuple[HalfInt, HalfInt, Sign]:
-    """(a, b) -> (A, B, zeta) with A = (a+b)/2 - 1, B = |a-b|/2, zeta = sign(a-b)."""
-    if not (isinstance(a, int) and isinstance(b, int) and a >= 1 and b >= 1):
-        raise ParameterError(f"a and b must be positive integers, got {a!r}, {b!r}")
-    A = HalfInt(a + b - 2)
-    B = HalfInt(abs(a - b))
-    if a == b:
-        if tie_zeta is None:
-            raise ParameterError("a = b requires an explicit tie_zeta choice")
-        zeta = _check_sign(tie_zeta, "tie_zeta")
-    else:
-        zeta = 1 if a > b else -1
-    return (A, B, zeta)
 
 
 def block_parity(block: JordanBlock) -> str:
@@ -258,25 +240,16 @@ def all_admissible_orders(psi: Parameter, limit: Optional[int] = None) -> List[A
     return out
 
 
-def discrete_diagonal_restriction(psi: Parameter) -> bool:
-    """True iff within each fiber the intervals [B, A] are pairwise disjoint."""
-    for rho, ix in psi.fibers().items():
-        ivs = sorted((psi.blocks[i].B.twice, psi.blocks[i].A.twice) for i in ix)
-        for (b1, a1), (b2, a2) in zip(ivs, ivs[1:]):
-            if b2 <= a1:
-                return False
-    return True
-
-
-def is_elementary(psi: Parameter) -> bool:
-    return discrete_diagonal_restriction(psi) and all(
-        blk.A == blk.B for blk in psi.blocks
-    )
-
-
 # ---------------------------------------------------------------------------
 # Parameter file format (JSON-shaped)
 # ---------------------------------------------------------------------------
+
+def _coordinate(value, what: str) -> HalfInt:
+    try:
+        return hi(value)
+    except ValueError as exc:
+        raise ParameterError(f"{what} must be an integer or a half-integer: {exc}") from exc
+
 
 def parameter_from_json(obj: Mapping) -> Tuple[Parameter, Optional[AdmissibleOrder]]:
     if not isinstance(obj, Mapping):
@@ -297,8 +270,8 @@ def parameter_from_json(obj: Mapping) -> Tuple[Parameter, Optional[AdmissibleOrd
             )
             blk = JordanBlock(
                 rho=rho,
-                A=hi(rb["A"]),
-                B=hi(rb["B"]),
+                A=_coordinate(rb["A"], "A"),
+                B=_coordinate(rb["B"], "B"),
                 zeta=rb["zeta"],
             )
         except KeyError as exc:
@@ -311,6 +284,8 @@ def parameter_from_json(obj: Mapping) -> Tuple[Parameter, Optional[AdmissibleOrd
     order = None
     raw_order = obj.get("order")
     if raw_order is not None:
+        if not isinstance(raw_order, (list, tuple)):
+            raise ParameterError(f"malformed order {raw_order!r}: expected a list")
         if raw_order and isinstance(raw_order[0], int):
             raw_order = [raw_order]
         try:

@@ -167,17 +167,19 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
     if chunks is not None:
         return None, _chunks_verdict(seq, chunks)
 
-    # Retire a far-away good-shape suffix as an independent conjunct.
+    # Retire a far-away good-shape suffix as an independent conjunct.  The
+    # level-2 threshold of a k-record prefix is at least 4**k and grows with
+    # k, so once 4**k reaches the largest 2B no later suffix can clear it.
+    top_b = max(rec[1] for rec in seq)
     for k in range(1, n):
+        if 4 ** k >= top_b:
+            break
         suffix = seq[k:]
         sub_chunks = _chunk_partition(suffix)
         if sub_chunks is None:
             continue
-        prefix_idx = list(range(k))
-        if all(
-            rec[1] > far_from_set_threshold_twice(seq, prefix_idx, 2)
-            for rec in suffix
-        ):
+        threshold = far_from_set_threshold_twice(seq, range(k), 2)
+        if all(rec[1] > threshold for rec in suffix):
             return None, _chunks_verdict(suffix, sub_chunks) and (seq[:k],)
 
     P = seq[-1]
@@ -371,26 +373,3 @@ class Engine:
                 break
         return Verdict(ok, tuple(trace) if trace is not None else ())
 
-
-def good_shape(psi: Parameter, order: AdmissibleOrder) -> bool:
-    """True iff every fiber splits into separated singleton/pair chunks."""
-    dummy = SignedData(
-        tuple(0 for _ in psi.blocks), tuple(1 for _ in psi.blocks)
-    )
-    return all(
-        _chunk_partition(seq) is not None
-        for seq in Engine._fiber_seqs(psi, order, dummy)
-    )
-
-
-def decide_good_shape(psi: Parameter, order: AdmissibleOrder, data: SignedData) -> bool:
-    """Conjunction of the basic condition over the pair chunks."""
-    data.check_bounds(psi)
-    result = True
-    for seq in Engine._fiber_seqs(psi, order, data):
-        chunks = _chunk_partition(seq)
-        if chunks is None:
-            raise DataError("configuration is not in good shape")
-        if not _chunks_verdict(seq, chunks):
-            result = False
-    return result

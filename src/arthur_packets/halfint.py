@@ -1,4 +1,4 @@
-"""Exact half-integer arithmetic on doubled-integer storage."""
+"""Exact half-integers on doubled-integer storage."""
 
 from __future__ import annotations
 
@@ -15,7 +15,9 @@ _INT_RE = re.compile(r"^-?\d+$")
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value.
 
-    All arithmetic and comparisons are exact integer operations; no floats.
+    Comparisons and hashing are exact integer operations on the doubled
+    value; no floats.  Code that computes with half-integers works on
+    ``twice`` directly.
     """
 
     __slots__ = ("twice",)
@@ -64,9 +66,6 @@ class HalfInt:
     def is_integral(self) -> bool:
         return self.twice % 2 == 0
 
-    def floor(self) -> int:
-        return self.twice // 2
-
     def as_int(self) -> int:
         if not self.is_integral:
             raise ValueError(f"{self} is not an integer")
@@ -75,40 +74,13 @@ class HalfInt:
     def to_json(self) -> Union[int, str]:
         return self.twice // 2 if self.is_integral else f"{self.twice}/2"
 
-    # -- arithmetic -------------------------------------------------------
+    # -- comparison -------------------------------------------------------
     def _twice_of(self, other) -> int:
         if isinstance(other, HalfInt):
             return other.twice
         if isinstance(other, int):
             return 2 * other
         return NotImplemented
-
-    def __add__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt(self.twice + t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt(self.twice - t)
-
-    def __rsub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt(t - self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
 
     def __eq__(self, other):
         t = self._twice_of(other)

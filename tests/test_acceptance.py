@@ -1,6 +1,6 @@
 """Acceptance suite: golden counts, oracle equivalence, closed forms, algebraic
-properties of the transforms, order invariance, character identity, segment
-predicates, and strict decrease of the termination measure."""
+properties of the transforms, order invariance, character identity, and strict
+decrease of the termination measure."""
 
 import json
 import random
@@ -23,13 +23,6 @@ from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt, hi
 from arthur_packets.oracle import oracle_two_block
 from arthur_packets.packets import candidates, enumerate_packet
-from arthur_packets.segments import (
-    GenSegment,
-    Segment,
-    grid,
-    linked_gen,
-    linked_segments,
-)
 from arthur_packets.transforms import (
     reorder,
     s_minus_pair,
@@ -326,48 +319,6 @@ def test_criterion_6_character_identity_elementary_swap():
         c2, _ = translate_M_to_W(psi, order2, data2)
         assert c1.values == c2.values, (tC1, tC2, z2, data)
     assert lattices == {0, 1}  # both integral and half-integral branches hit
-
-
-# ---------------------------------------------------------------------------
-# Criterion 7: generalized-segment predicate
-# ---------------------------------------------------------------------------
-
-def test_criterion_7_linked_gen_symmetry_and_transpose():
-    rng = random.Random(11)
-    for _ in range(10000):
-        g1 = grid(
-            HalfInt(rng.randint(-8, 8)), rng.randint(1, 4), rng.randint(1, 4),
-            rng.choice((-1, 1)),
-        )
-        g2 = grid(
-            HalfInt(rng.randint(-8, 8) + rng.choice((0, 1))),
-            rng.randint(1, 4), rng.randint(1, 4), rng.choice((-1, 1)),
-        )
-        a = linked_gen(g1, g2)
-        assert a == linked_gen(g2, g1)
-        assert a == linked_gen(g1.transpose(), g2)
-        assert a == linked_gen(g1, g2.transpose())
-
-
-def test_criterion_7_one_row_matches_plain_segments():
-    def row(x, y):
-        rng_vals = range(x, y + 1) if x <= y else range(x, y - 1, -1)
-        return GenSegment((tuple(HalfInt(2 * v) for v in rng_vals),))
-
-    cases = 0
-    for x1 in range(-5, 6):
-        for y1 in range(-5, 6):
-            for x2 in range(-5, 6):
-                for y2 in range(-5, 6):
-                    s1 = Segment(HalfInt(2 * x1), HalfInt(2 * y1))
-                    s2 = Segment(HalfInt(2 * x2), HalfInt(2 * y2))
-                    if s1.direction * s2.direction < 0:
-                        continue
-                    assert linked_gen(row(x1, y1), row(x2, y2)) == linked_segments(
-                        s1, s2
-                    ), ((x1, y1), (x2, y2))
-                    cases += 1
-    assert cases > 8000
 
 
 # ---------------------------------------------------------------------------

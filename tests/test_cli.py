@@ -66,6 +66,8 @@ def test_parse_errors_exit_two():
         ["decide", "--example", "moeglin-s8", "--l", "a,b,c", "--eta", "1,1,1"],
     )
     assert res.exit_code == 2
+    res = runner.invoke(main, ["oracle-compare", "--count", "1", "--max-a", "-1"])
+    assert res.exit_code == 2
 
 
 def test_recursion_limit_exit_four():
@@ -236,10 +238,19 @@ def test_oracle_compare_example():
 
 
 def test_malformed_file_exit_two(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    res = runner.invoke(main, ["size", "--file", str(path)])
-    assert res.exit_code == 2
+    block = '{"rho": "r", "A": %s, "B": 0, "zeta": 1}'
+    bad = {
+        "bad.json": "{not json",
+        "float_a.json": '{"blocks": [%s]}' % (block % "1.5"),
+        "null_a.json": '{"blocks": [%s]}' % (block % "null"),
+        "int_order.json": '{"blocks": [%s], "order": 5}' % (block % "1"),
+        "dict_order.json": '{"blocks": [%s], "order": {"x": 1}}' % (block % "1"),
+    }
+    for name, text in bad.items():
+        path = tmp_path / name
+        path.write_text(text)
+        res = runner.invoke(main, ["size", "--file", str(path)])
+        assert res.exit_code == 2, (name, res.output)
 
 
 def test_deeply_nested_file_exit_two(tmp_path):

@@ -10,10 +10,7 @@ from arthur_packets.core import (
     SignedData,
     all_admissible_orders,
     block_parity,
-    convert_ab,
-    discrete_diagonal_restriction,
     is_admissible,
-    is_elementary,
     natural_order,
     parameter_from_json,
     parameter_to_json,
@@ -25,22 +22,6 @@ RHO = RhoLabel("r", "orthogonal", 1)
 
 def blk(A, B, zeta, rho=RHO):
     return JordanBlock(rho, hi(A), hi(B), zeta)
-
-
-def test_convert_ab_round_trip():
-    A, B, zeta = convert_ab(51, 31)
-    assert (A, B, zeta) == (hi(40), hi(10), 1)
-    A, B, zeta = convert_ab(31, 45)
-    assert (A, B, zeta) == (hi(37), hi(7), -1)
-    b = blk(A, B, zeta)
-    assert (b.a, b.b) == (31, 45)
-
-
-def test_convert_ab_tie_requires_zeta():
-    with pytest.raises(ParameterError):
-        convert_ab(3, 3)
-    A, B, zeta = convert_ab(3, 3, tie_zeta=-1)
-    assert (A, B, zeta) == (hi(2), hi(0), -1)
 
 
 def test_block_validation():
@@ -112,13 +93,6 @@ def test_all_admissible_orders():
     assert len(all_admissible_orders(psi)) == 2
     psi = Parameter((blk(2, 1, 1), blk(4, 2, 1)))
     assert len(all_admissible_orders(psi)) == 1
-
-
-def test_ddr_and_elementary():
-    assert discrete_diagonal_restriction(Parameter((blk(5, 4, 1), blk(3, 1, 1))))
-    assert not discrete_diagonal_restriction(Parameter((blk(5, 3, 1), blk(3, 1, 1))))
-    assert is_elementary(Parameter((blk(4, 4, 1), blk(2, 2, -1))))
-    assert not is_elementary(Parameter((blk(4, 3, 1),)))
 
 
 def test_signed_data_bounds():

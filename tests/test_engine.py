@@ -13,15 +13,12 @@ from arthur_packets.core import (
     RhoLabel,
     SignedData,
 )
-from arthur_packets.engine import (
-    Engine,
-    RecursionLimitError,
-    basic_ok,
-    decide_good_shape,
-    good_shape,
-)
+from arthur_packets.characters import quasisplit_ok
+from arthur_packets.engine import Engine, RecursionLimitError, _chunk_partition, basic_ok
 from arthur_packets.halfint import hi
+from arthur_packets.oracle import oracle_two_block
 from arthur_packets.packets import enumerate_packet
+from arthur_packets.transforms import fiber_records
 
 RHO = RhoLabel("r", "orthogonal", 1)
 
@@ -48,41 +45,43 @@ def test_basic_ok():
     assert not basic_ok((8, 4, 1, 0, 1), (12, 2, 1, 0, -1))  # 2 > 8 fails
 
 
+def _chunks(psi, order):
+    """The good-shape chunk partition of a one-fiber parameter, or None."""
+    zeros = [0] * len(psi.blocks)
+    return _chunk_partition(fiber_records(psi, reversed(order.per_rho[0]), zeros, zeros))
+
+
 def test_good_shape_examples():
     psi = Parameter((blk(4, 1, 1),))
-    assert good_shape(psi, AdmissibleOrder(((0,),)))
+    assert _chunks(psi, AdmissibleOrder(((0,),))) == [(0,)]
     far = Parameter((blk(1000, 995, 1), blk(2, 0, 1)))
-    assert good_shape(far, AdmissibleOrder(((0, 1),)))
+    assert _chunks(far, AdmissibleOrder(((0, 1),))) is not None
     nested = Parameter((blk(6, 1, 1), blk(4, 2, 1)))
-    assert not good_shape(nested, AdmissibleOrder(((0, 1),)))
+    assert _chunks(nested, AdmissibleOrder(((0, 1),))) is None
     psi, order = _golden()
-    assert not good_shape(psi, order)
+    assert _chunks(psi, order) is None
     opp = Parameter((blk(1000, 995, -1), blk(2, 0, 1)))
-    assert good_shape(opp, AdmissibleOrder(((0, 1),)))
+    assert _chunks(opp, AdmissibleOrder(((0, 1),))) is not None
 
 
 def test_decide_good_shape_agrees_with_engine():
+    # A far-apart pair is in good shape, so the engine decides it by the basic
+    # condition alone; the two-block closed form is an independent check.
     far = Parameter((blk(1000, 995, 1), blk(2, 0, 1)))
     order = AdmissibleOrder(((0, 1),))
     eng = Engine()
-    for l0 in range(3):
-        for l1 in range(2):
+    cases = 0
+    for l0 in range(far.blocks[0].l_max() + 1):
+        for l1 in range(far.blocks[1].l_max() + 1):
             for e0 in (1, -1):
                 for e1 in (1, -1):
                     data = SignedData((l0, l1), (e0, e1))
-                    from arthur_packets.characters import quasisplit_ok
-
                     if not quasisplit_ok(far, data):
                         continue
-                    assert decide_good_shape(far, order, data) == eng.decide(
-                        far, order, data
-                    ).nonvanishing
-
-
-def test_decide_good_shape_rejects_bad_shape():
-    nested = Parameter((blk(6, 1, 1), blk(4, 2, 1)))
-    with pytest.raises(DataError):
-        decide_good_shape(nested, AdmissibleOrder(((0, 1),)), SignedData((0, 0), (1, 1)))
+                    want = oracle_two_block(2, 0, 1000, 995, l1, e1, l0, e0)
+                    assert eng.decide(far, order, data).nonvanishing == want, data
+                    cases += 1
+    assert cases == 16
 
 
 def test_decide_validates_input():

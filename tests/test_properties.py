@@ -1,0 +1,61 @@
+"""Property tests, with shrinking, over random multi-fiber parameters."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arthur_packets.characters import eps_l_eta
+from arthur_packets.core import JordanBlock, Parameter, RhoLabel, natural_order
+from arthur_packets.engine import Engine
+from arthur_packets.halfint import HalfInt
+from arthur_packets.packets import candidates, packet_size
+
+
+@st.composite
+def fiber_blocks(draw, rho):
+    """2-3 blocks on one rho, with criterion 5's coordinate ranges.
+
+    Criterion 5 draws up to 4 blocks a fiber; two such fibers have grids of
+    up to 6**8 points, too many to enumerate 60 times in a unit test.
+    """
+    half = draw(st.sampled_from((0, 1)))
+    blocks = []
+    for _ in range(draw(st.integers(2, 3))):
+        tB = 2 * draw(st.integers(0, 3)) + half
+        tA = tB + 2 * draw(st.integers(0, 4))
+        blocks.append(JordanBlock(rho, HalfInt(tA), HalfInt(tB), draw(st.sampled_from((1, -1)))))
+    return tuple(blocks)
+
+
+two_fibers = st.tuples(
+    fiber_blocks(RhoLabel("r0", "orthogonal", 1)),
+    fiber_blocks(RhoLabel("r1", "orthogonal", 1)),
+)
+
+
+def _signed_counts(blocks, engine):
+    """(p, m): a one-fiber parameter's nonvanishing grid points by sign product."""
+    psi = Parameter(blocks)
+    order = natural_order(psi)
+    p = m = 0
+    for data in candidates(psi):
+        if not engine._decide_unchecked(psi, order, data).nonvanishing:
+            continue
+        sign = 1
+        for blk, l, eta in zip(blocks, data.l, data.eta):
+            sign *= eps_l_eta(blk, l, eta)
+        if sign == 1:
+            p += 1
+        else:
+            m += 1
+    return p, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_fibers)
+def test_packet_size_factors_over_fibers(fibers):
+    # Verdicts are conjunctions of independent per-fiber verdicts, and the
+    # quasisplit constraint keeps the choices whose signs multiply to +1.
+    engine = Engine()
+    (p0, m0), (p1, m1) = (_signed_counts(blocks, engine) for blocks in fibers)
+    want = ((p0 + m0) * (p1 + m1) + (p0 - m0) * (p1 - m1)) // 2
+    assert packet_size(Parameter(fibers[0] + fibers[1]), engine=engine) == want
