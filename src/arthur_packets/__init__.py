@@ -39,6 +39,7 @@ from .transforms import (
     sub_condition_ok,
     sup_condition_ok,
     swap_records,
+    transport,
     u_pair,
 )
 from .reductions import (

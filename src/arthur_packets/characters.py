@@ -8,7 +8,7 @@ normalizations, and their product used to translate between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
 from .core import AdmissibleOrder, DataError, JordanBlock, Parameter, Sign, SignedData
 
@@ -44,13 +44,6 @@ def quasisplit_ok(psi: Parameter, data: SignedData) -> bool:
     return prod == 1
 
 
-def _abz(blk: JordanBlock, zeta_override: Optional[Sign]) -> Tuple[int, int, Sign]:
-    z = blk.zeta if zeta_override is None else zeta_override
-    a = ((blk.A.twice + 2) + z * blk.B.twice) // 2
-    b = ((blk.A.twice + 2) - z * blk.B.twice) // 2
-    return a, b, z
-
-
 def _pair_counted(abz1, abz2, gt12: bool) -> bool:
     """Test one role assignment of an unordered pair against the counted-pair cases."""
     a, b, z = abz1
@@ -74,17 +67,10 @@ def _pair_counted(abz1, abz2, gt12: bool) -> bool:
     return False
 
 
-def eps_MW_W(
-    psi: Parameter,
-    order: AdmissibleOrder,
-    tie_zetas: Optional[Mapping[int, Sign]] = None,
-) -> Character:
+def eps_MW_W(psi: Parameter, order: AdmissibleOrder) -> Character:
     """(-1)^(number of counted same-rho partners) per block occurrence."""
-    rank = order.rank(psi)
-    abzs = [
-        _abz(blk, (tie_zetas or {}).get(i) if blk.B.twice == 0 else None)
-        for i, blk in enumerate(psi.blocks)
-    ]
+    rank = order.rank()
+    abzs = [(blk.a, blk.b, blk.zeta) for blk in psi.blocks]
     values = []
     for i, blk in enumerate(psi.blocks):
         count = 0
@@ -101,7 +87,7 @@ def eps_MW_W(
 
 
 def eps_M_MW(psi: Parameter, order: AdmissibleOrder) -> Character:
-    rank = order.rank(psi)
+    rank = order.rank()
     values = []
     for i, blk in enumerate(psi.blocks):
         a, b = blk.a, blk.b

@@ -30,8 +30,13 @@ class DataError(ValueError):
     """Raised for invalid packet coordinates or orders."""
 
 
+def _is_int(x) -> bool:
+    """A plain integer: bool is an int subclass, but not a number here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_sign(z, what: str) -> int:
-    if z not in (1, -1):
+    if not (_is_int(z) and z in (1, -1)):
         raise ParameterError(f"{what} must be +1 or -1, got {z!r}")
     return z
 
@@ -47,7 +52,7 @@ class RhoLabel:
     def __post_init__(self):
         if self.parity not in (ORTHOGONAL, SYMPLECTIC):
             raise ParameterError(f"bad parity {self.parity!r}")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
+        if not (_is_int(self.dim) and self.dim >= 1):
             raise ParameterError(f"bad dim {self.dim!r}")
 
 
@@ -148,14 +153,11 @@ class AdmissibleOrder:
     def __post_init__(self):
         object.__setattr__(self, "per_rho", tuple(tuple(t) for t in self.per_rho))
 
-    def fiber_for(self, psi: Parameter, rho: RhoLabel) -> Tuple[int, ...]:
-        want = set(psi.fibers()[rho])
-        for t in self.per_rho:
-            if set(t) == want:
-                return t
-        raise DataError(f"order has no fiber matching rho {rho.id!r}")
+    def fibers(self) -> List[Tuple[int, ...]]:
+        """The nonempty fiber orders by least occurrence, the order of ``Parameter.fibers``."""
+        return sorted(filter(None, self.per_rho), key=min)
 
-    def rank(self, psi: Parameter) -> Dict[int, int]:
+    def rank(self) -> Dict[int, int]:
         """Map occurrence index -> rank within its fiber (greater block = larger rank)."""
         out: Dict[int, int] = {}
         for t in self.per_rho:
@@ -212,9 +214,14 @@ def is_admissible(order: AdmissibleOrder, psi: Parameter) -> bool:
     covered = sorted(itertools.chain.from_iterable(order.per_rho))
     if covered != list(range(len(psi.blocks))):
         raise DataError("order does not cover the block occurrences exactly once")
-    return all(
-        _fiber_admissible(psi, order.fiber_for(psi, rho)) for rho in psi.fibers()
-    )
+    # With the cover exact, the i-th fiber by least occurrence holds the
+    # least occurrence of the i-th rho, so it matches that rho or none does.
+    for fiber, (rho, ix) in zip(order.fibers(), psi.fibers().items()):
+        if sorted(fiber) != list(ix):
+            raise DataError(f"order has no fiber matching rho {rho.id!r}")
+        if not _fiber_admissible(psi, fiber):
+            return False
+    return True
 
 
 def natural_order(psi: Parameter) -> AdmissibleOrder:
@@ -277,7 +284,7 @@ def parameter_from_json(obj: Mapping) -> Tuple[Parameter, Optional[AdmissibleOrd
         except KeyError as exc:
             raise ParameterError(f"block entry missing field {exc}") from exc
         count = rb.get("count", 1)
-        if not (isinstance(count, int) and count >= 1):
+        if not (_is_int(count) and count >= 1):
             raise ParameterError(f"bad count {count!r}")
         blocks.extend([blk] * count)
     psi = Parameter(tuple(blocks), group_kind=group)
@@ -288,10 +295,9 @@ def parameter_from_json(obj: Mapping) -> Tuple[Parameter, Optional[AdmissibleOrd
             raise ParameterError(f"malformed order {raw_order!r}: expected a list")
         if raw_order and isinstance(raw_order[0], int):
             raw_order = [raw_order]
-        try:
-            order = AdmissibleOrder(tuple(tuple(int(i) for i in t) for t in raw_order))
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed order: {exc}") from exc
+        if not all(isinstance(t, (list, tuple)) and all(map(_is_int, t)) for t in raw_order):
+            raise ParameterError(f"malformed order {raw_order!r}: expected lists of integers")
+        order = AdmissibleOrder(tuple(tuple(t) for t in raw_order))
         if not is_admissible(order, psi):
             raise DataError("declared order is not admissible")
     return psi, order

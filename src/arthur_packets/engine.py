@@ -1,7 +1,7 @@
 """Decision engine: nonvanishing of a packet member for given (l, eta).
 
 The engine normalizes each rho-fiber to the natural order (A descending, ties
-by B), transporting (l, eta) with the adjacent-swap transforms.  The pure kernel
+by B), transporting (l, eta) with ``transforms.transport``.  The pure kernel
 ``rewrite`` maps a canonical fiber to a verdict or to the subproblems of one
 Pull / Expand / Change-sign step; ``Engine`` walks that conjunction tree on an
 explicit stack until every remaining piece is in good shape, where the basic
@@ -31,6 +31,7 @@ from .transforms import (
     fiber_records,
     sup_condition_ok,
     swap_records,
+    transport,
 )
 
 
@@ -46,10 +47,6 @@ class Verdict:
 
 def _d(rec: Rec) -> int:
     return (rec[0] - rec[1]) // 2
-
-
-def _key(rec: Rec) -> Tuple[int, int]:
-    return (rec[0], rec[1])
 
 
 def basic_ok(lower: Rec, upper: Rec) -> bool:
@@ -141,6 +138,13 @@ def _chunks_verdict(recs: Sequence[Rec], chunks: Sequence[Tuple[int, ...]]) -> b
 # Rewrite kernel
 # ---------------------------------------------------------------------------
 
+def _moved(seq: Sequence[Rec], src: int, dst: int) -> List[Rec]:
+    """Move record ``src`` to position ``dst``, the others keeping their order."""
+    keys = [2 * i for i in range(len(seq))]
+    keys[src] = 2 * dst + (1 if dst > src else -1)
+    return transport(seq, keys)
+
+
 def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, Tuple]]:
     """One rewrite of a canonical fiber: ``(step or None, outcome)``.
 
@@ -202,10 +206,8 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
 
     if pull:
         q = max(pull, key=lambda i: (seq[i][0], seq[i][1], i))
-        work = list(seq)
         try:
-            for j in range(q, n - 2):
-                work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+            work = _moved(seq, q, n - 2)
             P = work[-1]
             Q = work[-2]
             # S+ on the nested pair: P's data in the order with Q above.
@@ -223,12 +225,9 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
         return step, basic_ok(Q, P_shifted) and step.after
 
     if equal:
-        r = max(equal)
-        work = list(seq)
-        for j in range(r, n - 2):
-            # Blocks between equal-interval partners share the key and
-            # have the opposite zeta, so these are all U-swaps.
-            work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+        # Blocks between equal-interval partners share the key and have the
+        # opposite zeta, so these are all U-swaps.
+        work = _moved(seq, max(equal), n - 2)
         P = work[-1]
         R = work[-2]
         rest = work[:-2]
@@ -242,12 +241,10 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
         return step, step.after
 
     # B of the top block is 0 or 1/2, and every lower block has the
-    # opposite zeta: bubble it to the bottom with U-swaps, change sign.
+    # opposite zeta: move it to the bottom with U-swaps, change sign.
     if any(rec[2] == P[2] for rec in rest):
         raise AssertionError("Change-sign site: a lower block has the same zeta")
-    work = list(seq)
-    for j in range(n - 2, -1, -1):
-        work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+    work = _moved(seq, n - 1, 0)
     kind, changed = change_sign(work[0])
     step = ReductionStep.make(kind, seq, ([changed] + work[1:],))
     return step, step.after
@@ -268,20 +265,12 @@ class Engine:
 
     @staticmethod
     def _canonicalize(seq: Sequence[Rec]) -> Tuple[Rec, ...]:
-        """Bubble into ascending natural order, transporting the data.
+        """Sort into ascending natural order, transporting the data.
 
         Raises TransformPreconditionError when a same-zeta swap finds its
         necessary condition violated (which implies the verdict is False).
         """
-        work = list(seq)
-        n = len(work)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1):
-                if _key(work[i]) > _key(work[i + 1]):
-                    work[i], work[i + 1] = swap_records(work[i], work[i + 1])
-                    changed = True
+        work = transport(seq, [(rec[0], rec[1]) for rec in seq])
         for i, rec in enumerate(work):
             if 2 * rec[3] == _d(rec) + 1:
                 work[i] = (rec[0], rec[1], rec[2], rec[3], 1)
@@ -335,13 +324,6 @@ class Engine:
 
     # -- public API -------------------------------------------------------
 
-    @staticmethod
-    def _fiber_seqs(psi: Parameter, order: AdmissibleOrder, data: SignedData):
-        return [
-            tuple(fiber_records(psi, reversed(order.fiber_for(psi, rho)), data.l, data.eta))
-            for rho in psi.fibers()
-        ]
-
     def decide(
         self,
         psi: Parameter,
@@ -366,10 +348,9 @@ class Engine:
         trace: Optional[list] = [] if collect_trace else None
         self._steps = 0
         self._decided = {}
-        ok = True
-        for seq in self._fiber_seqs(psi, order, data):
-            if not self._fiber_decide(seq, trace):
-                ok = False
-                break
+        ok = all(
+            self._fiber_decide(fiber_records(psi, reversed(fiber), data.l, data.eta), trace)
+            for fiber in order.fibers()
+        )
         return Verdict(ok, tuple(trace) if trace is not None else ())
 

@@ -38,6 +38,8 @@ class HalfInt:
     def of(cls, value: Union["HalfInt", int]) -> "HalfInt":
         if isinstance(value, HalfInt):
             return value
+        if isinstance(value, bool):
+            raise ValueError(f"{value!r} is a bool, not an integer")
         if isinstance(value, int):
             return cls(2 * value)
         raise TypeError(f"cannot convert {value!r} to HalfInt")

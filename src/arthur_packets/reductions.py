@@ -6,7 +6,7 @@ piece is in good shape.  This module holds the pure record-level parts of
 those rewrites: the far-from-a-set threshold, the Expand amount, the
 Change-sign rule, and the termination measure with the step record that the
 engine checks on every rewrite.  Pull stays inside the engine, because it
-transports data by bubbling the pulled block through its fiber.
+moves the pulled block through its fiber with ``transforms.transport``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ blocks involves a nested-or-equal pair, these transport (l, eta) between any
 two admissible orders (reorder).
 
 The pair formulas only depend on each block's A - B; helpers here take those
-integers directly.  ``swap_records`` applies them to fiber records, the form
-in which both the decision engine and ``reorder`` transport (l, eta).
+integers directly.  ``swap_records`` applies them to fiber records, and
+``transport`` sorts a fiber's records by swapping neighbours: the one way
+in which both the decision engine and ``reorder`` move (l, eta).
 ``reorder`` is the one Parameter-level transport: a single adjacent swap is
 ``reorder`` to the order with that pair exchanged.
 """
@@ -185,6 +186,32 @@ def swap_records(lower: Rec, upper: Rec) -> Tuple[Rec, Rec]:
     return (tA2, tB2, z2, l2, e2), (tA1, tB1, z1, l1, e1)
 
 
+def transport(recs: Sequence[Rec], keys: Sequence) -> List[Rec]:
+    """Sort an ascending fiber's records by ``keys`` with adjacent swaps.
+
+    A bubble sort whose sweeps run bottom-up; records with equal keys never
+    swap, and each swap is ``swap_records``.  A sweep starts just below the
+    previous sweep's first swap and stops at its last one, which skips only
+    comparisons that cannot swap.  Raises TransformPreconditionError as
+    ``swap_records`` does.
+    """
+    work, keys = list(recs), list(keys)
+    lo, hi = 0, len(work) - 1
+    while lo < hi:
+        first = last = None
+        for i in range(lo, hi):
+            if keys[i] > keys[i + 1]:
+                work[i], work[i + 1] = swap_records(work[i], work[i + 1])
+                keys[i], keys[i + 1] = keys[i + 1], keys[i]
+                if first is None:
+                    first = i
+                last = i
+        if last is None:
+            break
+        lo, hi = max(first - 1, 0), last
+    return work
+
+
 # ---------------------------------------------------------------------------
 # Equivalence mod ~Sigma_0
 # ---------------------------------------------------------------------------
@@ -228,23 +255,14 @@ def reorder(
         raise DataError("to_order is not admissible")
     l = list(data.l)
     eta = list(data.eta)
-    for rho in psi.fibers():
-        # Both lists run greatest first, so recs[i + 1] is below recs[i].
-        current = list(from_order.fiber_for(psi, rho))
-        target = to_order.fiber_for(psi, rho)
-        target_rank = {occ: len(target) - pos for pos, occ in enumerate(target)}
-        recs = fiber_records(psi, current, l, eta)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(current) - 1):
-                if target_rank[current[i]] >= target_rank[current[i + 1]]:
-                    continue
-                recs[i + 1], recs[i] = swap_records(recs[i + 1], recs[i])
-                current[i], current[i + 1] = current[i + 1], current[i]
-                changed = True
-        if current != list(target):
+    target_rank = to_order.rank()
+    for current, target in zip(from_order.fibers(), to_order.fibers()):
+        # Both fibers list greatest first; records are built ascending.
+        below, want = current[::-1], target[::-1]
+        recs = transport(fiber_records(psi, below, l, eta), [target_rank[occ] for occ in below])
+        # The transported records must sit on the target's blocks.
+        if [rec[:3] for rec in recs] != [rec[:3] for rec in fiber_records(psi, want, l, eta)]:
             raise AssertionError("reorder did not reach the target order")
-        for occ, rec in zip(current, recs):
+        for occ, rec in zip(want, recs):
             l[occ], eta[occ] = rec[3], rec[4]
     return SignedData(tuple(l), tuple(eta))

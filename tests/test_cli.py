@@ -245,6 +245,16 @@ def test_malformed_file_exit_two(tmp_path):
         "null_a.json": '{"blocks": [%s]}' % (block % "null"),
         "int_order.json": '{"blocks": [%s], "order": 5}' % (block % "1"),
         "dict_order.json": '{"blocks": [%s], "order": {"x": 1}}' % (block % "1"),
+        # A bool is an int subclass and 1.0 == 1; neither is an integer here.
+        "bool_a.json": '{"blocks": [%s]}' % (block % "true"),
+        "bool_zeta.json": '{"blocks": [{"rho": "r", "A": 1, "B": 0, "zeta": true}]}',
+        "float_zeta.json": '{"blocks": [{"rho": "r", "A": 1, "B": 0, "zeta": 1.0}]}',
+        "bool_dim.json": '{"blocks": [{"rho": "r", "dim": true, "A": 1, "B": 0, "zeta": 1}]}',
+        "bool_count.json": '{"blocks": [{"rho": "r", "count": true, "A": 1, "B": 0, "zeta": 1}]}',
+        "float_order.json": (
+            '{"blocks": [{"rho": "r", "count": 2, "A": 1, "B": 0, "zeta": 1}],'
+            ' "order": [[0.9, "1"]]}'
+        ),
     }
     for name, text in bad.items():
         path = tmp_path / name
@@ -261,3 +271,21 @@ def test_deeply_nested_file_exit_two(tmp_path):
     res = runner.invoke(main, ["size", "--file", str(path)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: cannot read parameter file")
+
+
+def test_order_not_matching_fibers_exit_three(tmp_path):
+    # The order covers every occurrence once, but each tuple mixes two fibers.
+    obj = {
+        "group": None,
+        "blocks": [
+            {"rho": "r", "A": 2, "B": 1, "zeta": 1},
+            {"rho": "r", "A": 4, "B": 2, "zeta": 1},
+            {"rho": "s", "A": 2, "B": 1, "zeta": 1},
+            {"rho": "s", "A": 4, "B": 2, "zeta": 1},
+        ],
+    }
+    path = tmp_path / "two_fibers.json"
+    path.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["size", "--file", str(path), "--order", "1,2;3,0"])
+    assert res.exit_code == 3, res.output
+    assert "order has no fiber matching rho 'r'" in res.stderr

@@ -81,6 +81,19 @@ def test_order_coverage_checked():
         is_admissible(AdmissibleOrder(((0,),)), psi)
 
 
+def test_order_must_match_fibers():
+    # The cover is exact, but each tuple mixes the two fibers.
+    s = RhoLabel("s", "orthogonal", 1)
+    psi = Parameter((blk(2, 1, 1), blk(4, 2, 1), blk(2, 1, 1, s), blk(4, 2, 1, s)))
+    assert is_admissible(AdmissibleOrder(((1, 0), (3, 2))), psi)
+    with pytest.raises(DataError, match="order has no fiber matching rho 'r'"):
+        is_admissible(AdmissibleOrder(((1, 2), (3, 0))), psi)
+    # The first fiber is checked first: an inadmissible one answers False.
+    assert not is_admissible(AdmissibleOrder(((0, 1), (3, 2))), psi)
+    with pytest.raises(DataError, match="order has no fiber matching rho 's'"):
+        is_admissible(AdmissibleOrder(((1, 0), (2,), (3,))), psi)
+
+
 def test_natural_order():
     psi = Parameter((blk(2, 1, 1), blk(4, 2, 1), blk(4, 1, -1)))
     order = natural_order(psi)
@@ -137,6 +150,10 @@ def test_json_order_parsing():
     obj["order"] = [[0, 1]]
     _, order = parameter_from_json(obj)
     assert order.per_rho == ((0, 1),)
+    # An empty tuple covers nothing and is not a fiber.
+    obj["order"] = [[0, 1], []]
+    _, order = parameter_from_json(obj)
+    assert order.fibers() == [(0, 1)]
 
 
 def test_json_rejects_inadmissible_order():

@@ -19,6 +19,9 @@ def test_parse_rejects_garbage():
     for bad in ("x", "1/3", "2.25", 1.5, None):
         with pytest.raises((ValueError, TypeError)):
             hi(bad)
+    for bad in (True, False):
+        with pytest.raises(ValueError):
+            hi(bad)
 
 
 def test_comparisons_and_floor():

@@ -11,6 +11,7 @@ from arthur_packets.core import (
     all_admissible_orders,
     natural_order,
 )
+from arthur_packets.engine import _moved
 from arthur_packets.halfint import hi
 from arthur_packets.transforms import (
     TransformPreconditionError,
@@ -21,6 +22,8 @@ from arthur_packets.transforms import (
     sigma0_equiv,
     sub_condition_ok,
     sup_condition_ok,
+    swap_records,
+    transport,
     u_pair,
 )
 
@@ -139,6 +142,82 @@ def test_s_plus_bijective_exhaustive():
                                 codomain.add(key)
             assert image == codomain
             assert len(domain) == len(codomain)
+
+
+def _nested_records(rng, n):
+    """n records on concentric intervals, so every same-zeta pair is nested."""
+    recs = []
+    for _ in range(n):
+        d = rng.randint(0, 6)  # A - B: doubled A = 12 + d, doubled B = 12 - d
+        l = rng.randint(0, (d + 1) // 2)
+        recs.append((12 + d, 12 - d, rng.choice((1, -1)), l, rng.choice((1, -1))))
+    return recs
+
+
+def _swapped_in_turn(recs, positions):
+    """Apply swap_records at each position in turn, as a hand-written loop does."""
+    work = list(recs)
+    for j in positions:
+        work[j], work[j + 1] = swap_records(work[j], work[j + 1])
+    return work
+
+
+def test_transport_one_record_moves_match_successive_swaps():
+    rng = random.Random(11)
+    moved = {"up": 0, "down": 0}
+    while min(moved.values()) < 50:
+        n = rng.randint(2, 6)
+        recs = _nested_records(rng, n)
+        q = rng.randrange(n - 1)
+        # Record q up to position n - 2 (Pull), and the top record down to 0
+        # (Change sign).
+        up_keys = list(range(n))
+        up_keys[q], up_keys[-1] = n - 1, n
+        down_keys = list(range(n))
+        down_keys[-1] = -1
+        cases = (
+            ("up", up_keys, (q, n - 2), range(q, n - 2)),
+            ("down", down_keys, (n - 1, 0), range(n - 2, -1, -1)),
+        )
+        for name, keys, (src, dst), positions in cases:
+            try:
+                want = _swapped_in_turn(recs, positions)
+            except TransformPreconditionError:
+                with pytest.raises(TransformPreconditionError):
+                    transport(recs, keys)
+                continue
+            assert transport(recs, keys) == want
+            assert _moved(recs, src, dst) == want  # the engine's own keys
+            moved[name] += 1
+
+
+def test_transport_never_swaps_equal_keys():
+    # Same zeta, neither interval contains the other: swap_records refuses.
+    lo, up = (4, 2, 1, 0, 1), (6, 4, 1, 0, 1)
+    with pytest.raises(AssertionError):
+        swap_records(lo, up)
+    assert transport([lo, up], [0, 0]) == [lo, up]
+    # The record with the smaller key passes both; the tied pair keeps its order.
+    rng = random.Random(5)
+    for _ in range(50):
+        recs = _nested_records(rng, 3)
+        try:
+            want = _swapped_in_turn(recs, (1, 0))
+        except TransformPreconditionError:
+            continue
+        assert transport(recs, [1, 1, 0]) == want
+
+
+def test_transport_precondition_raises():
+    # S+: the upper record (d = 4) contains the lower one (d = 2), and
+    # l_big - l_small = -1 < 0 violates the container-above condition.
+    small, big = (6, 2, 1, 1, -1), (8, 0, 1, 0, -1)
+    with pytest.raises(TransformPreconditionError, match="container-above"):
+        transport([small, big], [1, 0])
+    # S-: the same data with the container below violates the
+    # contained-above condition.
+    with pytest.raises(TransformPreconditionError, match="contained-above"):
+        transport([big, small], [1, 0])
 
 
 def test_parameter_level_swaps():
