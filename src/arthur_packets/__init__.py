@@ -46,7 +46,6 @@ from .reductions import (
     ReductionStep,
     change_sign,
     expand_amount,
-    far_from_set_threshold_twice,
     measure,
 )
 from .engine import (

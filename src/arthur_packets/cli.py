@@ -151,7 +151,7 @@ def main():
 @click.option("--eta", "eta_text", required=True)
 @click.option("--trace", is_flag=True, default=False)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
-@click.option("--recursion-limit", default=10000, type=int)
+@click.option("--recursion-limit", default=10000, type=click.IntRange(min=0))
 def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursion_limit):
     psi, declared = _load_parameter(file_, example)
     order = _pick_order(order_text, declared, psi)
@@ -179,9 +179,9 @@ def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursi
 @click.option("--order", "order_text", default=None)
 @click.option("--all-orders", is_flag=True, default=False)
 @click.option("--oracle", "use_oracle", is_flag=True, default=False)
-@click.option("--jobs", default=1, type=int)
+@click.option("--jobs", default=1, type=click.IntRange(min=1))
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
-@click.option("--recursion-limit", default=10000, type=int)
+@click.option("--recursion-limit", default=10000, type=click.IntRange(min=0))
 def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recursion_limit):
     psi, declared = _load_parameter(file_, example)
     if use_oracle:
@@ -215,9 +215,9 @@ def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recu
 @click.option("--file", "file_", type=click.Path(), default=None)
 @click.option("--example", default=None)
 @click.option("--order", "order_text", default=None)
-@click.option("--jobs", default=1, type=int)
+@click.option("--jobs", default=1, type=click.IntRange(min=1))
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
-@click.option("--recursion-limit", default=10000, type=int)
+@click.option("--recursion-limit", default=10000, type=click.IntRange(min=0))
 def cmd_enumerate(file_, example, order_text, jobs, fmt, recursion_limit):
     psi, declared = _load_parameter(file_, example)
     order = _pick_order(order_text, declared, psi)

@@ -50,6 +50,8 @@ class RhoLabel:
     dim: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ParameterError(f"rho must be a string, got {self.id!r}")
         if self.parity not in (ORTHOGONAL, SYMPLECTIC):
             raise ParameterError(f"bad parity {self.parity!r}")
         if not (_is_int(self.dim) and self.dim >= 1):
@@ -271,7 +273,7 @@ def parameter_from_json(obj: Mapping) -> Tuple[Parameter, Optional[AdmissibleOrd
             raise ParameterError(f"bad block entry {rb!r}")
         try:
             rho = RhoLabel(
-                id=str(rb["rho"]),
+                id=rb["rho"],
                 parity=rb.get("parity", ORTHOGONAL),
                 dim=rb.get("dim", 1),
             )

@@ -3,9 +3,9 @@
 The engine normalizes each rho-fiber to the natural order (A descending, ties
 by B), transporting (l, eta) with ``transforms.transport``.  The pure kernel
 ``rewrite`` maps a canonical fiber to a verdict or to the subproblems of one
-Pull / Expand / Change-sign step; ``Engine`` walks that conjunction tree on an
-explicit stack until every remaining piece is in good shape, where the basic
-condition decides.
+step; the only rewrites are Pull, Expand and Change sign.  ``Engine`` walks
+that conjunction tree on an explicit stack until every remaining piece is in
+good shape, where the basic condition decides.
 
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
@@ -18,12 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .characters import quasisplit_ok
 from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible
-from .reductions import (
-    ReductionStep,
-    change_sign,
-    expand_amount,
-    far_from_set_threshold_twice,
-)
+from .reductions import ReductionStep, change_sign, expand_amount
 from .transforms import (
     Rec,
     TransformPreconditionError,
@@ -127,13 +122,6 @@ def _chunk_partition(recs: Sequence[Rec]) -> Optional[List[Tuple[int, ...]]]:
     return chunks
 
 
-def _chunks_verdict(recs: Sequence[Rec], chunks: Sequence[Tuple[int, ...]]) -> bool:
-    for ch in chunks:
-        if len(ch) == 2 and not basic_ok(recs[ch[0]], recs[ch[1]]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Rewrite kernel
 # ---------------------------------------------------------------------------
@@ -169,22 +157,7 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
 
     chunks = _chunk_partition(seq)
     if chunks is not None:
-        return None, _chunks_verdict(seq, chunks)
-
-    # Retire a far-away good-shape suffix as an independent conjunct.  The
-    # level-2 threshold of a k-record prefix is at least 4**k and grows with
-    # k, so once 4**k reaches the largest 2B no later suffix can clear it.
-    top_b = max(rec[1] for rec in seq)
-    for k in range(1, n):
-        if 4 ** k >= top_b:
-            break
-        suffix = seq[k:]
-        sub_chunks = _chunk_partition(suffix)
-        if sub_chunks is None:
-            continue
-        threshold = far_from_set_threshold_twice(seq, range(k), 2)
-        if all(rec[1] > threshold for rec in suffix):
-            return None, _chunks_verdict(suffix, sub_chunks) and (seq[:k],)
+        return None, all(basic_ok(seq[ch[0]], seq[ch[1]]) for ch in chunks if len(ch) == 2)
 
     P = seq[-1]
     rest = list(seq[:-1])

@@ -1,11 +1,11 @@
-"""Reduction rewrites on fiber records: thresholds, termination measure, steps.
+"""Reduction rewrites on fiber records: Expand, Change sign, termination measure.
 
 The decision engine rewrites a fiber, held as records ``(tA, tB, zeta, l, eta)``
-with tA, tB doubled coordinates, by Pull, Expand and Change sign until every
-piece is in good shape.  This module holds the pure record-level parts of
-those rewrites: the far-from-a-set threshold, the Expand amount, the
-Change-sign rule, and the termination measure with the step record that the
-engine checks on every rewrite.  Pull stays inside the engine, because it
+with tA, tB doubled coordinates, by Pull, Expand and Change sign only, until
+every piece is in good shape.  This module holds the pure record-level parts
+of those rewrites: the Expand amount, the Change-sign rule, and the
+termination measure with the step record that the engine checks on every
+rewrite.  Pull stays inside the engine, because it
 moves the pulled block through its fiber with ``transforms.transport``.
 """
 
@@ -15,25 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from .transforms import Rec
-
-
-# ---------------------------------------------------------------------------
-# Thresholds
-# ---------------------------------------------------------------------------
-
-def fiber_span_twice(recs: Sequence[Rec]) -> int:
-    """Twice the sum of (A' - B' + 1) over the records."""
-    return sum(tA - tB + 2 for tA, tB, *_ in recs)
-
-
-def far_from_set_threshold_twice(recs: Sequence[Rec], J: Sequence[int], r: int) -> int:
-    """Level-r far away from the sub-multiset J (indices into ``recs``)."""
-    k = len(J)
-    if k == 0:
-        return 0
-    return (2 ** (r * k)) * (
-        sum(recs[i][0] for i in J) + k * fiber_span_twice(recs)
-    )
 
 
 # ---------------------------------------------------------------------------

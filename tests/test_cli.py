@@ -68,6 +68,12 @@ def test_parse_errors_exit_two():
     assert res.exit_code == 2
     res = runner.invoke(main, ["oracle-compare", "--count", "1", "--max-a", "-1"])
     assert res.exit_code == 2
+    res = runner.invoke(main, ["size", "--example", "moeglin-s8", "--jobs", "0"])
+    assert res.exit_code == 2
+    res = runner.invoke(
+        main, ["size", "--example", "moeglin-s8", "--recursion-limit", "-1"]
+    )
+    assert res.exit_code == 2
 
 
 def test_recursion_limit_exit_four():
@@ -254,6 +260,16 @@ def test_malformed_file_exit_two(tmp_path):
         "float_order.json": (
             '{"blocks": [{"rho": "r", "count": 2, "A": 1, "B": 0, "zeta": 1}],'
             ' "order": [[0.9, "1"]]}'
+        ),
+        # A non-string rho is not read as its str(): null and "None" (or 1
+        # and "1") would share one fiber.
+        "null_rho.json": (
+            '{"blocks": [{"rho": null, "A": 2, "B": 1, "zeta": 1},'
+            ' {"rho": "None", "A": 4, "B": 2, "zeta": 1}]}'
+        ),
+        "int_rho.json": (
+            '{"blocks": [{"rho": 1, "A": 2, "B": 1, "zeta": 1},'
+            ' {"rho": "1", "A": 4, "B": 2, "zeta": 1}]}'
         ),
     }
     for name, text in bad.items():

@@ -124,13 +124,10 @@ def test_memoization_is_consistent():
     assert first == second
 
 
-def test_far_away_suffix_is_retired():
-    # Moving a level-1-far block further away keeps the packet.  Past the
-    # level-2 threshold of the (4,1)/(3,2) pair (2B > 736) the engine retires
-    # the far block as an independent good-shape conjunct, so no rewrite step
-    # carries it any more.
+def test_far_away_shift_keeps_the_packet():
+    # Moving a level-1-far block further away keeps the packet.
     for zeta in (1, -1):
-        packets, far_steps = [], []
+        packets = []
         for twice_b in (40, 400, 4000):
             B = twice_b // 2
             psi = Parameter((blk(4, 1, 1), blk(3, 2, 1), blk(B + 1, B, zeta)))
@@ -139,13 +136,8 @@ def test_far_away_suffix_is_retired():
             packets.append([(d.l, d.eta) for d in members])
             traces = [Engine().decide(psi, order, d, collect_trace=True).trace for d in members]
             assert any(traces)
-            far = (twice_b + 2, twice_b)
-            far_steps.append(
-                sum(any(rec[:2] == far for rec in step.before) for t in traces for step in t)
-            )
         assert len(packets[0]) == 15
         assert packets[0] == packets[1] == packets[2], zeta
-        assert far_steps == [15, 15, 0], zeta
 
 
 def test_measure_check_survives_optimized_mode():

@@ -7,7 +7,7 @@ from arthur_packets.characters import eps_l_eta
 from arthur_packets.core import JordanBlock, Parameter, RhoLabel, natural_order
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt
-from arthur_packets.packets import candidates, packet_size
+from arthur_packets.packets import candidates, enumerate_packet, packet_size
 
 
 @st.composite
@@ -59,3 +59,22 @@ def test_packet_size_factors_over_fibers(fibers):
     (p0, m0), (p1, m1) = (_signed_counts(blocks, engine) for blocks in fibers)
     want = ((p0 + m0) * (p1 + m1) + (p0 - m0) * (p1 - m1)) // 2
     assert packet_size(Parameter(fibers[0] + fibers[1]), engine=engine) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fiber_blocks(RhoLabel("r", "orthogonal", 1)),
+    st.integers(0, 3),
+    st.sampled_from((1, -1)),
+)
+def test_far_away_shift_keeps_the_packet(blocks, d, zeta):
+    # A block (B + d, B, zeta) far above the rest of its fiber: moving it ten
+    # times further away keeps the packet.  Both distances lie above every
+    # level-2 far-away threshold of these ranges (2B about 10 200 at most).
+    rho, half = blocks[0].rho, blocks[0].B.twice % 2
+    packets = []
+    for twice_b in (20_000 + half, 200_000 + half):
+        far = JordanBlock(rho, HalfInt(twice_b + 2 * d), HalfInt(twice_b), zeta)
+        psi = Parameter(blocks + (far,))
+        packets.append([(m.l, m.eta) for m in enumerate_packet(psi, natural_order(psi))])
+    assert packets[0] == packets[1]

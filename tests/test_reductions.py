@@ -19,8 +19,6 @@ from arthur_packets.reductions import (
     ReductionStep,
     change_sign,
     expand_amount,
-    far_from_set_threshold_twice,
-    fiber_span_twice,
     measure,
 )
 
@@ -67,29 +65,6 @@ def _random_fiber_steps():
             if quasisplit_ok(psi, data):
                 steps.extend(Engine().decide(psi, order, data, collect_trace=True).trace)
     return tuple(steps)
-
-
-# ---------------------------------------------------------------------------
-# Thresholds
-# ---------------------------------------------------------------------------
-
-def test_far_away_threshold_examples():
-    # The span sum(A' - B' + 1) that the far-away bounds scale: level r far
-    # away from the whole fiber means B > 2^r * span (12 at r = 1, 24 at r = 2).
-    assert fiber_span_twice([]) == 0
-    assert fiber_span_twice([rec(5, 3, 1), rec(2, 0, 1)]) == 2 * 6
-
-
-def test_far_from_set_threshold_examples():
-    recs = [rec(5, 3, 1), rec(2, 0, 1)]
-    assert far_from_set_threshold_twice(recs, [], 1) == 0
-    assert far_from_set_threshold_twice(recs, [0], 1) == 2 * 22
-    assert far_from_set_threshold_twice(recs, [0], 2) > far_from_set_threshold_twice(
-        recs, [0], 1
-    )
-    assert far_from_set_threshold_twice(recs, [0, 1], 1) > far_from_set_threshold_twice(
-        recs, [0], 1
-    )
 
 
 # ---------------------------------------------------------------------------
