@@ -42,6 +42,7 @@ EXIT_INTERNAL = 5
 # message).  Click's own exceptions and sys.exit pass through untouched.
 _EXIT_CODES = (
     (RecursionLimitError, EXIT_RECURSION, str),
+    (ParameterError, EXIT_PARSE, str),
     (DataError, EXIT_INVALID, str),
     (Exception, EXIT_INTERNAL, lambda exc: f"internal: {type(exc).__name__}: {exc}"),
 )
@@ -76,10 +77,7 @@ def _load_parameter(file_: Optional[str], example: Optional[str]):
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             _fail(EXIT_PARSE, f"cannot read parameter file: {exc}")
-    try:
-        return parameter_from_json(obj)
-    except ParameterError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    return parameter_from_json(obj)
 
 
 def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
@@ -97,15 +95,13 @@ def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
     return order
 
 
-def _parse_data(l_text: str, eta_text: str, psi: Parameter) -> SignedData:
+def _parse_data(l_text: str, eta_text: str) -> SignedData:
     try:
         l = tuple(int(x) for x in l_text.split(","))
         eta = tuple(int(x) for x in eta_text.split(","))
     except (ValueError, AttributeError):
         _fail(EXIT_PARSE, "--l and --eta must be comma-separated integers")
-    data = SignedData(l, eta)
-    data.check_bounds(psi)
-    return data
+    return SignedData(l, eta)
 
 
 def _pick_order(order_text: Optional[str], declared, psi) -> AdmissibleOrder:
@@ -155,7 +151,7 @@ def main():
 def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursion_limit):
     psi, declared = _load_parameter(file_, example)
     order = _pick_order(order_text, declared, psi)
-    data = _parse_data(l_text, eta_text, psi)
+    data = _parse_data(l_text, eta_text)
     engine = Engine(recursion_limit=recursion_limit)
     verdict = engine.decide(psi, order, data, collect_trace=trace)
     if fmt == "json":
@@ -183,6 +179,8 @@ def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursi
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 @click.option("--recursion-limit", default=10000, type=click.IntRange(min=0))
 def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recursion_limit):
+    if (order_text is not None) + all_orders + use_oracle > 1:
+        _fail(EXIT_PARSE, "use at most one of --order, --all-orders and --oracle")
     psi, declared = _load_parameter(file_, example)
     if use_oracle:
         count = count_three_block_classes(*three_block_shape(psi))
@@ -255,7 +253,7 @@ def cmd_reorder(file_, example, from_text, to_text, l_text, eta_text, fmt):
     to_order = (
         _parse_order(to_text, psi) if to_text is not None else natural_order(psi)
     )
-    data = _parse_data(l_text, eta_text, psi)
+    data = _parse_data(l_text, eta_text)
     out = reorder_data(psi, from_order, to_order, data)
     if fmt == "json":
         click.echo(json.dumps({"l": list(out.l), "eta": list(out.eta)}))
@@ -268,11 +266,13 @@ def cmd_reorder(file_, example, from_text, to_text, l_text, eta_text, fmt):
 @main.command("oracle-compare")
 @click.option("--file", "file_", type=click.Path(), default=None)
 @click.option("--example", default=None)
-@click.option("--count", default=0, type=int, help="Number of random instances.")
+@click.option("--count", default=0, type=click.IntRange(min=0), help="Number of random instances.")
 @click.option("--max-a", default=12, type=click.IntRange(min=0))
 @click.option("--seed", default=20260823, type=int)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 def cmd_oracle_compare(file_, example, count, max_a, seed, fmt):
+    if count > 0 and (file_ is not None or example is not None):
+        _fail(EXIT_PARSE, "--count cannot be combined with --file or --example")
     engine = Engine()
     if count > 0:
         shapes = random_three_block_shapes(count, max_a, seed)

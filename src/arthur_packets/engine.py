@@ -4,8 +4,10 @@ The engine normalizes each rho-fiber to the natural order (A descending, ties
 by B), transporting (l, eta) with ``transforms.transport``.  The pure kernel
 ``rewrite`` maps a canonical fiber to a verdict or to the subproblems of one
 step; the only rewrites are Pull, Expand and Change sign.  ``Engine`` walks
-that conjunction tree on an explicit stack until every remaining piece is in
-good shape, where the basic condition decides.
+that conjunction tree on an explicit stack, memoizing every verdict, until
+every remaining piece is in good shape.  Good shape is a stop rule: its pair
+chunks are adjacent same-zeta pairs, whose basic condition the kernel's fast
+fail has already checked.
 
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
@@ -57,22 +59,19 @@ def basic_ok(lower: Rec, upper: Rec) -> bool:
 # Good shape (record level)
 # ---------------------------------------------------------------------------
 
-def _chunk_partition(recs: Sequence[Rec]) -> Optional[List[Tuple[int, ...]]]:
-    """Split an ascending fiber into separated singleton/pair chunks.
+def _good_shape(recs: Sequence[Rec]) -> bool:
+    """Whether an ascending fiber splits into separated singleton/pair chunks.
 
-    Returns the list of chunks (index tuples, ascending) or None if the fiber
-    is not in good shape.  A pair chunk must be same-zeta and comparable; the
-    separation conditions are checked with minimal dominating stacks: each
-    block of a chunk must have B above the stacked version of everything
-    below, and every block above the chunk must have B above the worst-case
-    minimal stack of the chunk itself.
+    A pair chunk must be same-zeta and comparable; the separation conditions
+    are checked with minimal dominating stacks: each block of a chunk must
+    have B above the stacked version of everything below, and every block
+    above the chunk must have B above the worst-case minimal stack of the
+    chunk itself.
     """
     n = len(recs)
-    if n == 0:
-        return []
     for lo, up in zip(recs, recs[1:]):
         if up[0] < lo[0] or up[1] < lo[1]:
-            return None
+            return False
     # prefix_top[i] = top of the greedy minimal interval-disjoint dominating
     # stack of recs[0..i-1] (None when empty).
     prefix_top: List[Optional[int]] = [None] * (n + 1)
@@ -105,21 +104,12 @@ def _chunk_partition(recs: Sequence[Rec]) -> Optional[List[Tuple[int, ...]]]:
         return True
 
     feasible = [False] * (n + 1)
-    choice = [0] * (n + 1)
     feasible[n] = True
     for i in range(n - 1, -1, -1):
-        if i + 2 <= n and feasible[i + 2] and chunk_ok(i, 2):
-            feasible[i], choice[i] = True, 2
-        elif feasible[i + 1] and chunk_ok(i, 1):
-            feasible[i], choice[i] = True, 1
-    if not feasible[0]:
-        return None
-    chunks: List[Tuple[int, ...]] = []
-    i = 0
-    while i < n:
-        chunks.append(tuple(range(i, i + choice[i])))
-        i += choice[i]
-    return chunks
+        feasible[i] = (i + 2 <= n and feasible[i + 2] and chunk_ok(i, 2)) or (
+            feasible[i + 1] and chunk_ok(i, 1)
+        )
+    return feasible[0]
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +127,10 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
     """One rewrite of a canonical fiber: ``(step or None, outcome)``.
 
     ``outcome`` is the verdict or the tuple of subproblems whose conjunction
-    is the verdict; a Pull whose gate fails returns its step and False.
+    is the verdict; only a Pull-equal step whose basic condition fails
+    returns its step and False.
     """
     n = len(seq)
-    if n <= 1:
-        return None, True
 
     # Fast fail: necessary conditions on adjacent same-zeta pairs.
     for i in range(n - 1):
@@ -155,9 +144,9 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
             if not sup_condition_ok(_d(up), _d(lo), up[3], up[4], lo[3], lo[4]):
                 return None, False
 
-    chunks = _chunk_partition(seq)
-    if chunks is not None:
-        return None, all(basic_ok(seq[ch[0]], seq[ch[1]]) for ch in chunks if len(ch) == 2)
+    # Every pair chunk is an adjacent same-zeta comparable pair: checked above.
+    if _good_shape(seq):
+        return None, True
 
     P = seq[-1]
     rest = list(seq[:-1])
@@ -183,19 +172,16 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
             work = _moved(seq, q, n - 2)
             P = work[-1]
             Q = work[-2]
-            # S+ on the nested pair: P's data in the order with Q above.
+            # S+ on the nested pair: P's data in the order with Q above.  It
+            # raises exactly when the pair's basic condition fails.
             P_swapped, _ = swap_records(Q, P)
         except TransformPreconditionError:
             return None, False
         rest = work[:-2]
-        # B-equalizing co-shift of the retired pair: shift P up by
-        # (B_Q - B_P); the basic condition is co-shift invariant.
-        delta = Q[1] - P[1]
-        P_shifted = (P[0] + delta, Q[1], P[2], P[3], P[4])
         step = ReductionStep.make(
             "PullUnequal", seq, (rest, rest + [Q], rest + [P_swapped])
         )
-        return step, basic_ok(Q, P_shifted) and step.after
+        return step, step.after
 
     if equal:
         # Blocks between equal-interval partners share the key and have the
@@ -232,7 +218,6 @@ class Engine:
         self.recursion_limit = recursion_limit
         self._memo = {}
         self._steps = 0
-        self._decided = {}  # verdicts reached in the current decision
 
     # -- fiber normalization ---------------------------------------------
 
@@ -255,9 +240,9 @@ class Engine:
         """Decide a fiber by a depth-first walk of ``rewrite``'s conjunctions.
 
         A stack frame closes, memoized, once a subproblem fails or all hold.
-        With a trace, only this decision's verdicts are reused.
+        Memo hits are reused with or without a trace, so a trace lists only
+        the steps this walk takes.
         """
-        known = self._memo if trace is None else self._decided
         stack: List[Tuple[Tuple[Rec, ...], Iterator]] = []
         pending = seq
         while True:
@@ -266,7 +251,7 @@ class Engine:
             except TransformPreconditionError:
                 verdict = False
             else:
-                verdict = known.get(canon)
+                verdict = self._memo.get(canon)
                 if verdict is None:
                     step, outcome = rewrite(canon)
                     if step is not None:
@@ -291,7 +276,7 @@ class Engine:
                 if pending is not None:
                     break
                 stack.pop()
-                self._memo[canon] = known[canon] = verdict
+                self._memo[canon] = verdict
             else:
                 return verdict
 
@@ -320,7 +305,6 @@ class Engine:
     ) -> Verdict:
         trace: Optional[list] = [] if collect_trace else None
         self._steps = 0
-        self._decided = {}
         ok = all(
             self._fiber_decide(fiber_records(psi, reversed(fiber), data.l, data.eta), trace)
             for fiber in order.fibers()

@@ -27,7 +27,7 @@ def test_decide_basic_and_trace():
         ["decide", "--example", "moeglin-s8", "--l", "10,10,2", "--eta", "1,1,1"],
     )
     assert res.exit_code == 0, res.output
-    assert res.output.strip() in ("NONVANISHING", "VANISHING")
+    assert res.output.strip() == "NONVANISHING"
     res = runner.invoke(
         main,
         [
@@ -38,7 +38,18 @@ def test_decide_basic_and_trace():
     )
     assert res.exit_code == 0, res.output
     out = json.loads(res.output)
-    assert "trace" in out and len(out["trace"]) >= 1
+    assert out["nonvanishing"] is True
+    steps = [(s["kind"], s["measure_before"], s["measure_after"]) for s in out["trace"]]
+    assert steps == [
+        ("Expand", [3, 42, 1], [[3, 30, 1]]),
+        ("PullUnequal", [3, 30, 1], [[1, 14, 0], [2, 22, 1], [2, 22, 1]]),
+        ("Expand", [2, 22, 1], [[2, 8, 1]]),
+        ("ChangeSignIntegral", [2, 8, 1], [[2, 8, 0]]),
+        ("PullUnequal", [2, 8, 0], [[0, 0, 0], [1, 8, 0], [1, 0, 0]]),
+        ("Expand", [2, 22, 1], [[2, 14, 1]]),
+        ("ChangeSignIntegral", [2, 14, 1], [[2, 14, 0]]),
+        ("PullUnequal", [2, 14, 0], [[0, 0, 0], [1, 14, 0], [1, 0, 0]]),
+    ]
 
 
 def test_decide_rejects_invalid_data():
@@ -74,6 +85,20 @@ def test_parse_errors_exit_two():
         main, ["size", "--example", "moeglin-s8", "--recursion-limit", "-1"]
     )
     assert res.exit_code == 2
+    # Options that the chosen path would ignore are rejected, not dropped.
+    for extra in (
+        ["--oracle", "--order", "2,1,0"],
+        ["--all-orders", "--order", "2,1,0"],
+        ["--oracle", "--all-orders"],
+    ):
+        res = runner.invoke(main, ["size", "--example", "moeglin-s8"] + extra)
+        assert res.exit_code == 2, (extra, res.output)
+        assert res.stderr == "error: use at most one of --order, --all-orders and --oracle\n"
+    res = runner.invoke(main, ["oracle-compare", "--count", "2", "--example", "moeglin-s8"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: --count cannot be combined with --file or --example\n"
+    res = runner.invoke(main, ["oracle-compare", "--count", "-3", "--example", "moeglin-s8"])
+    assert res.exit_code == 2, res.output
 
 
 def test_recursion_limit_exit_four():
@@ -141,9 +166,9 @@ def test_deep_staircase_needs_no_python_stack(tmp_path):
 
 
 def test_trace_does_not_change_the_outcome(tmp_path):
-    # Shared subproblems are decided once per decision with or without a
-    # trace, so the trace lists a cold engine's 3 865 steps and stays within
-    # the default budget.
+    # A trace reuses the memo exactly as an untraced decision does, so on a
+    # fresh engine it lists the walk's 3 865 steps and stays within the
+    # default budget.
     n = 28
     path = _staircase_file(tmp_path, n)
     args = ["decide", "--file", path, "--l", ",".join(["2"] * n), "--eta", ",".join(["1"] * n)]

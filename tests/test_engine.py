@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -14,11 +15,11 @@ from arthur_packets.core import (
     SignedData,
 )
 from arthur_packets.characters import quasisplit_ok
-from arthur_packets.engine import Engine, RecursionLimitError, _chunk_partition, basic_ok
+from arthur_packets.engine import Engine, RecursionLimitError, _good_shape, basic_ok
 from arthur_packets.halfint import hi
 from arthur_packets.oracle import oracle_two_block
-from arthur_packets.packets import enumerate_packet
-from arthur_packets.transforms import fiber_records
+from arthur_packets.packets import candidates, enumerate_packet
+from arthur_packets.transforms import fiber_records, sup_condition_ok
 
 RHO = RhoLabel("r", "orthogonal", 1)
 
@@ -45,23 +46,49 @@ def test_basic_ok():
     assert not basic_ok((8, 4, 1, 0, 1), (12, 2, 1, 0, -1))  # 2 > 8 fails
 
 
-def _chunks(psi, order):
-    """The good-shape chunk partition of a one-fiber parameter, or None."""
+def _in_good_shape(psi, order):
+    """Whether a one-fiber parameter is in good shape."""
     zeros = [0] * len(psi.blocks)
-    return _chunk_partition(fiber_records(psi, reversed(order.per_rho[0]), zeros, zeros))
+    return _good_shape(fiber_records(psi, reversed(order.per_rho[0]), zeros, zeros))
 
 
 def test_good_shape_examples():
+    assert _good_shape(())
     psi = Parameter((blk(4, 1, 1),))
-    assert _chunks(psi, AdmissibleOrder(((0,),))) == [(0,)]
+    assert _in_good_shape(psi, AdmissibleOrder(((0,),)))
     far = Parameter((blk(1000, 995, 1), blk(2, 0, 1)))
-    assert _chunks(far, AdmissibleOrder(((0, 1),))) is not None
+    assert _in_good_shape(far, AdmissibleOrder(((0, 1),)))
     nested = Parameter((blk(6, 1, 1), blk(4, 2, 1)))
-    assert _chunks(nested, AdmissibleOrder(((0, 1),))) is None
+    assert not _in_good_shape(nested, AdmissibleOrder(((0, 1),)))
     psi, order = _golden()
-    assert _chunks(psi, order) is None
+    assert not _in_good_shape(psi, order)
     opp = Parameter((blk(1000, 995, -1), blk(2, 0, 1)))
-    assert _chunks(opp, AdmissibleOrder(((0, 1),))) is not None
+    assert _in_good_shape(opp, AdmissibleOrder(((0, 1),)))
+
+
+def test_pull_gate_is_the_s_plus_condition():
+    # Pull retires a nested pair: Q contained in P, same zeta, P just above.
+    # S+ swaps the pair and raises exactly when the pair's basic condition
+    # fails with P co-shifted to B_Q, so Pull needs no gate of its own.
+    cases = 0
+    # Even and odd 2B_P: both lattices.
+    for tBP, dP in itertools.product(range(4), range(9)):
+        tAP = tBP + 2 * dP
+        for tBQ in range(tBP, tAP + 1, 2):
+            for tAQ in range(tBQ, tAP + 1, 2):
+                if (tAQ, tBQ) == (tAP, tBP):
+                    continue
+                dQ = (tAQ - tBQ) // 2
+                for lP, lQ, eP, eQ in itertools.product(
+                    range((dP + 1) // 2 + 1), range((dQ + 1) // 2 + 1), (1, -1), (1, -1)
+                ):
+                    Q = (tAQ, tBQ, 1, lQ, eQ)
+                    P_shifted = (tAP + tBQ - tBP, tBQ, 1, lP, eP)
+                    assert basic_ok(Q, P_shifted) == sup_condition_ok(
+                        dP, dQ, lP, eP, lQ, eQ
+                    ), (Q, (tAP, tBP, 1, lP, eP))
+                    cases += 1
+    assert cases == 23648
 
 
 def test_decide_good_shape_agrees_with_engine():
@@ -113,6 +140,28 @@ def test_golden_instance_verdicts_deterministic():
     assert len(v1.trace) >= 1
     for step in v1.trace:
         assert step.decreases()
+
+
+def test_trace_is_neutral_on_a_warm_engine():
+    # A trace reuses the same memo as an untraced decision: on an engine warmed
+    # by one untraced pass, both agree under a tight budget on every golden
+    # candidate, and a memoized decision's trace is empty.
+    psi, order = _golden()
+    cands = [d for d in candidates(psi) if quasisplit_ok(psi, d)]
+    eng = Engine(recursion_limit=7)
+
+    def outcome(data, collect_trace):
+        try:
+            return eng._decide_unchecked(psi, order, data, collect_trace).nonvanishing
+        except RecursionLimitError:
+            return None
+
+    for data in cands:
+        outcome(data, False)
+    assert len(cands) == 3072
+    disagreements = [d for d in cands if outcome(d, False) != outcome(d, True)]
+    assert disagreements == []
+    assert eng.decide(psi, order, SignedData((10, 10, 2), (1, 1, 1)), collect_trace=True).trace == ()
 
 
 def test_memoization_is_consistent():
