@@ -13,6 +13,7 @@ import sys
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from .core import (
     AdmissibleOrder,
@@ -78,6 +79,19 @@ def _load_parameter(file_: Optional[str], example: Optional[str]):
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             _fail(EXIT_PARSE, f"cannot read parameter file: {exc}")
     return parameter_from_json(obj)
+
+
+def _reject_ignored(names, path: str) -> None:
+    """Exit 2 when an option that ``path`` ignores was given explicitly."""
+    ctx = click.get_current_context()
+    given = [
+        param.opts[0]
+        for param in ctx.command.params
+        if param.name in names
+        and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+    ]
+    if given:
+        _fail(EXIT_PARSE, f"{path} does not use {' or '.join(given)}")
 
 
 def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
@@ -181,6 +195,8 @@ def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursi
 def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recursion_limit):
     if (order_text is not None) + all_orders + use_oracle > 1:
         _fail(EXIT_PARSE, "use at most one of --order, --all-orders and --oracle")
+    if use_oracle:
+        _reject_ignored(("jobs", "recursion_limit"), "--oracle")
     psi, declared = _load_parameter(file_, example)
     if use_oracle:
         count = count_three_block_classes(*three_block_shape(psi))
@@ -277,6 +293,7 @@ def cmd_oracle_compare(file_, example, count, max_a, seed, fmt):
     if count > 0:
         shapes = random_three_block_shapes(count, max_a, seed)
     else:
+        _reject_ignored(("max_a", "seed"), "oracle-compare without --count")
         psi, _ = _load_parameter(file_, example)
         shapes = [three_block_shape(psi)]
     total_mismatches = 0

@@ -77,19 +77,19 @@ def compare_three_block(A1, B1, A2, B2, A3, B3, engine: Optional[Engine] = None)
 
 
 def random_three_block_shapes(count: int, max_a: int, seed: int) -> List[Tuple[int, ...]]:
-    """Random (A1,B1,A2,B2,A3,B3) satisfying the three-block hypotheses."""
-    rng = random.Random(seed)
+    """Random (A1,B1,A2,B2,A3,B3) satisfying the three-block hypotheses.
+
+    Each coordinate is drawn below the ones it is bounded by, so every draw
+    is a shape: B1 <= A1 <= A2 bounds B2, and B2 <= A2 <= A3 bounds B3.
+    """
+    randrange = random.Random(seed).randrange
     shapes = []
-    while len(shapes) < count:
-        A3 = rng.randint(0, max_a)
-        A2 = rng.randint(0, A3)
-        A1 = rng.randint(0, A2)
-        B1 = rng.randint(0, A1)
-        B2 = rng.randint(B1, A2) if B1 <= A2 else None
-        if B2 is None:
-            continue
-        B3 = rng.randint(B2, A3) if B2 <= A3 else None
-        if B3 is None:
-            continue
+    for _ in range(count):
+        A3 = randrange(max_a + 1)
+        A2 = randrange(A3 + 1)
+        A1 = randrange(A2 + 1)
+        B1 = randrange(A1 + 1)
+        B2 = randrange(B1, A2 + 1)
+        B3 = randrange(B2, A3 + 1)
         shapes.append((A1, B1, A2, B2, A3, B3))
     return shapes

@@ -1,53 +1,155 @@
 """Packet enumeration: all (l, eta) classes that are quasisplit and nonvanishing.
 
-Candidates iterate the full l-grid with eta modulo the invisible-flip
+The candidate grid is the full l-grid with eta modulo the invisible-flip
 equivalence (canonical representative: eta = +1 at every block where
-l = (A - B + 1) / 2).  Each candidate is filtered by the quasisplit product
-constraint and the engine verdict.  Output is sorted for determinism.
+l = (A - B + 1) / 2); ``candidates`` lists it.  A packet is not found by
+filtering that grid point by point: the verdict on (l, eta) is the
+conjunction of independent per-fiber verdicts, and the quasisplit constraint
+asks the product of the per-block signs eps_l_eta to be +1.  So ``_plan``
+compiles each fiber of the order once, as a one-fiber parameter with its
+part of the grid and each choice's sign, and decides every needed fiber
+choice once with ``Engine._decide_unchecked`` (one ``_fiber_decide`` walk,
+with its own step budget).  ``enumerate_packet`` is the product of the
+per-fiber member lists with sign product +1, sorted for determinism;
+``packet_size`` only counts those products by sign.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional
+from contextlib import nullcontext
+from math import prod
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .characters import quasisplit_ok
-from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible, natural_order
+from .characters import eps_l_eta
+from .core import (
+    AdmissibleOrder,
+    DataError,
+    JordanBlock,
+    Parameter,
+    Sign,
+    SignedData,
+    is_admissible,
+    natural_order,
+)
 from .engine import Engine
+
+# A fiber choice: the sign product of its blocks and its data on the fiber's
+# own parameter.
+Choice = Tuple[int, SignedData]
+
+
+def _options(blk: JordanBlock) -> List[Tuple[int, Sign, Sign]]:
+    """The block's canonical (l, eta) options, each with its sign eps_l_eta."""
+    return [
+        (l, eta, eps_l_eta(blk, l, eta))
+        for l in range(blk.l_max() + 1)
+        for eta in ((1,) if blk.eta_is_free_at(l) else (1, -1))
+    ]
+
+
+def _choices(blocks: Sequence[JordanBlock]) -> List[Choice]:
+    """The canonical grid of ``blocks``, each point with its sign product."""
+    return [
+        (
+            prod(opt[2] for opt in combo),
+            SignedData(tuple(opt[0] for opt in combo), tuple(opt[1] for opt in combo)),
+        )
+        for combo in itertools.product(*map(_options, blocks))
+    ]
 
 
 def candidates(psi: Parameter) -> List[SignedData]:
-    """The canonical (l, eta) grid, before the quasisplit/nonvanishing filters."""
-    per_block = []
-    for blk in psi.blocks:
-        opts = []
-        for l in range(blk.l_max() + 1):
-            opts.append((l, 1))
-            if not blk.eta_is_free_at(l):
-                opts.append((l, -1))
-        per_block.append(opts)
-    out = []
-    for combo in itertools.product(*per_block):
-        out.append(
-            SignedData(tuple(le[0] for le in combo), tuple(le[1] for le in combo))
-        )
-    return out
+    """The canonical (l, eta) grid, before the quasisplit/nonvanishing filters.
+
+    The packet plan does not list it; it is the reference for tests and tools
+    that check the plan point by point.
+    """
+    return [data for _, data in _choices(psi.blocks)]
 
 
-def _members(psi, order, cands, engine: Engine) -> List[SignedData]:
-    """The candidates that are quasisplit and nonvanishing."""
-    return [
-        data
-        for data in cands
-        if quasisplit_ok(psi, data)
-        and engine._decide_unchecked(psi, order, data).nonvanishing
-    ]
+class _Fiber(NamedTuple):
+    """One fiber of the order as a parameter of its own."""
+
+    occurrences: Tuple[int, ...]  # ascending occurrence indices in psi
+    psi: Parameter  # the fiber's blocks, in that order
+    order: AdmissibleOrder  # the fiber's order on the indices of ``psi``
+    choices: List[Choice]  # its part of the canonical grid, with signs
+
+
+def _fiber(psi: Parameter, fiber: Tuple[int, ...]) -> _Fiber:
+    """Compile one fiber order (occurrences listed greatest first)."""
+    occurrences = tuple(sorted(fiber))
+    local = {occ: i for i, occ in enumerate(occurrences)}
+    blocks = [psi.blocks[i] for i in occurrences]
+    return _Fiber(
+        occurrences,
+        Parameter(tuple(blocks)),
+        AdmissibleOrder((tuple(local[occ] for occ in fiber),)),
+        _choices(blocks),
+    )
+
+
+def _fiber_members(
+    psi: Parameter, order: AdmissibleOrder, choices: List[Choice], engine: Engine
+) -> List[Choice]:
+    """The choices of a one-fiber parameter that are nonvanishing."""
+    return [c for c in choices if engine._decide_unchecked(psi, order, c[1]).nonvanishing]
 
 
 def _eval_chunk(args):
     psi, order, chunk, recursion_limit = args
-    return _members(psi, order, chunk, Engine(recursion_limit))
+    return _fiber_members(psi, order, chunk, Engine(recursion_limit))
+
+
+def _plan(
+    psi: Parameter, order: Optional[AdmissibleOrder], jobs: int, engine: Optional[Engine]
+) -> Tuple[List[_Fiber], List[List[Choice]], Dict[int, int]]:
+    """The fibers, their member lists, and the member products' count per sign.
+
+    A choice is decided only when members of the earlier fibers and choices
+    of the later ones can complete its sign to +1.  Every block offers both
+    signs, so every fiber does, and only the last fiber is restricted: to
+    the signs that the earlier member products reach (for one fiber, +1).
+    With ``jobs > 1`` a process pool decides chunks of each fiber's choices
+    through the same filter, one fresh engine a chunk.
+    """
+    if order is None:
+        order = natural_order(psi)
+    if not is_admissible(order, psi):
+        raise DataError("order is not admissible")
+    engine = engine or Engine()
+    fibers = [_fiber(psi, fiber) for fiber in order.fibers()]
+    lists: List[List[Choice]] = []
+    counts = {1: 1, -1: 0}
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = ProcessPoolExecutor(max_workers=jobs)
+    else:
+        context = nullcontext()
+    with context as pool:
+        for k, fib in enumerate(fibers):
+            later = (1,) if k == len(fibers) - 1 else (1, -1)
+            wanted = {s * t for s, n in counts.items() if n for t in later}
+            choices = [c for c in fib.choices if c[0] in wanted]
+            if pool is None or len(choices) <= 1:
+                kept = _fiber_members(fib.psi, fib.order, choices, engine)
+            else:
+                size = (len(choices) + jobs - 1) // jobs
+                chunks = [
+                    (fib.psi, fib.order, choices[i : i + size], engine.recursion_limit)
+                    for i in range(0, len(choices), size)
+                ]
+                kept = [c for part in pool.map(_eval_chunk, chunks) for c in part]
+            lists.append(kept)
+            plus = sum(1 for sign, _ in kept if sign == 1)
+            minus = len(kept) - plus
+            counts = {
+                1: counts[1] * plus + counts[-1] * minus,
+                -1: counts[1] * minus + counts[-1] * plus,
+            }
+    return fibers, lists, counts
 
 
 def enumerate_packet(
@@ -56,26 +158,22 @@ def enumerate_packet(
     jobs: int = 1,
     engine: Optional[Engine] = None,
 ) -> List[SignedData]:
-    if order is None:
-        order = natural_order(psi)
-    if not is_admissible(order, psi):
-        raise DataError("order is not admissible")
-    engine = engine or Engine()
-    cands = candidates(psi)
-    if jobs > 1 and len(cands) > 1:
-        chunk_size = (len(cands) + jobs - 1) // jobs
-        chunks = [
-            (psi, order, cands[i : i + chunk_size], engine.recursion_limit)
-            for i in range(0, len(cands), chunk_size)
+    fibers, lists, _ = _plan(psi, order, jobs, engine)
+    rows = [(1, (), ())]  # (sign, l, eta) over the fibers so far, concatenated
+    for kept in lists:
+        rows = [
+            (s * sign, l + data.l, eta + data.eta) for s, l, eta in rows for sign, data in kept
         ]
-        kept: List[SignedData] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_eval_chunk, chunks):
-                kept.extend(part)
-    else:
-        kept = _members(psi, order, cands, engine)
-    kept.sort(key=lambda d: (d.l, d.eta))
-    return kept
+    # slots[i]: where occurrence i sits in the concatenated data.
+    concatenated = [occ for fib in fibers for occ in fib.occurrences]
+    slots = sorted(range(len(concatenated)), key=concatenated.__getitem__)
+    members = [
+        SignedData(tuple(l[j] for j in slots), tuple(eta[j] for j in slots))
+        for s, l, eta in rows
+        if s == 1
+    ]
+    members.sort(key=lambda d: (d.l, d.eta))
+    return members
 
 
 def packet_size(
@@ -84,4 +182,4 @@ def packet_size(
     jobs: int = 1,
     engine: Optional[Engine] = None,
 ) -> int:
-    return len(enumerate_packet(psi, order, jobs=jobs, engine=engine))
+    return _plan(psi, order, jobs, engine)[2][1]

@@ -2,6 +2,7 @@
 properties of the transforms, order invariance, character identity, and strict
 decrease of the termination measure."""
 
+import itertools
 import json
 import random
 import time
@@ -17,12 +18,13 @@ from arthur_packets.core import (
     RhoLabel,
     SignedData,
     all_admissible_orders,
+    natural_order,
 )
 from arthur_packets.crosscheck import compare_three_block, random_three_block_shapes
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt, hi
 from arthur_packets.oracle import oracle_two_block
-from arthur_packets.packets import candidates, enumerate_packet
+from arthur_packets.packets import candidates, enumerate_packet, packet_size
 from arthur_packets.transforms import (
     reorder,
     s_minus_pair,
@@ -78,6 +80,34 @@ def test_criterion_2_oracle_engine_equivalence():
     elapsed = time.perf_counter() - t0
     assert mismatches == []
     assert elapsed < 60.0
+
+
+def _rejection_shapes(count, max_a, seed):
+    """The shape generator as first written: randint draws with a retry."""
+    rng = random.Random(seed)
+    shapes = []
+    while len(shapes) < count:
+        A3 = rng.randint(0, max_a)
+        A2 = rng.randint(0, A3)
+        A1 = rng.randint(0, A2)
+        B1 = rng.randint(0, A1)
+        B2 = rng.randint(B1, A2) if B1 <= A2 else None
+        if B2 is None:
+            continue
+        B3 = rng.randint(B2, A3) if B2 <= A3 else None
+        if B3 is None:
+            continue
+        shapes.append((A1, B1, A2, B2, A3, B3))
+    return shapes
+
+
+def test_random_shapes_keep_the_rejection_stream():
+    # randint(a, b) is randrange(a, b + 1) and the retry never fires, so the
+    # shapes (and every seeded oracle-compare run) stay the same.
+    for seed in list(range(40)) + [20260823]:
+        for max_a in (0, 1, 3, 10, 12, 40):
+            want = _rejection_shapes(30, max_a, seed)
+            assert random_three_block_shapes(30, max_a, seed) == want, (seed, max_a)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +316,53 @@ def test_criterion_5_order_invariance_and_reorder_bijectivity():
         s1 = {sigma0_canonical(psi, d) for d in packs[1]}
         assert s0 == s1, psi
     assert tested >= 100
+
+
+def _candidate_filter(psi, order):
+    """The packet point by point: every grid point that is quasisplit and
+    nonvanishing, each decided on its own with the per-candidate engine call."""
+    engine = Engine()
+    kept = [
+        d
+        for d in candidates(psi)
+        if quasisplit_ok(psi, d) and engine._decide_unchecked(psi, order, d).nonvanishing
+    ]
+    return sorted(kept, key=lambda d: (d.l, d.eta))
+
+
+def test_fiber_plan_matches_the_candidate_filter():
+    golden = Parameter(
+        (
+            JordanBlock(RHO, hi(40), hi(10), 1),
+            JordanBlock(RHO, hi(37), hi(7), -1),
+            JordanBlock(RHO, hi(8), hi(4), 1),
+        )
+    )
+    cases = [(golden, natural_order(golden), (1, 2))]
+    # The criterion-5 family: its first 16 parameters, each under the first
+    # of its shuffled admissible orders; every fourth also with the pool.
+    # Every second one has its fibers' blocks dealt out in turn, so that the
+    # fibers interleave in the occurrence indices.
+    rng = random.Random(99)
+    while len(cases) < 17:
+        psi = _random_parameter(rng)
+        orders = all_admissible_orders(psi, limit=50)
+        if len(orders) < 3:
+            continue
+        if len(cases) % 2 == 0:
+            dealt = itertools.chain(*itertools.zip_longest(*psi.fibers().values()))
+            psi = Parameter(tuple(psi.blocks[i] for i in dealt if i is not None))
+            orders = all_admissible_orders(psi, limit=50)
+        rng.shuffle(orders)
+        cases.append((psi, orders[0], (1, 2) if len(cases) % 4 == 0 else (1,)))
+    assert sum(len(psi.fibers()) == 2 for psi, _, _ in cases) >= 10
+    # Fibers of two or more blocks interleave where blocks 0 and 1 differ in rho.
+    assert sum(psi.blocks[0].rho != psi.blocks[1].rho for psi, _, _ in cases) >= 5
+    for psi, order, jobs in cases:
+        want = _candidate_filter(psi, order)
+        for j in jobs:
+            assert enumerate_packet(psi, order, jobs=j) == want, (psi, order, j)
+            assert packet_size(psi, order, jobs=j) == len(want), (psi, order, j)
 
 
 # ---------------------------------------------------------------------------

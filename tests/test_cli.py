@@ -99,6 +99,27 @@ def test_parse_errors_exit_two():
     assert res.stderr == "error: --count cannot be combined with --file or --example\n"
     res = runner.invoke(main, ["oracle-compare", "--count", "-3", "--example", "moeglin-s8"])
     assert res.exit_code == 2, res.output
+    for args, stderr in (
+        (
+            ["oracle-compare", "--example", "moeglin-s8", "--max-a", "3", "--seed", "5"],
+            "oracle-compare without --count does not use --max-a or --seed",
+        ),
+        (
+            ["oracle-compare", "--count", "0", "--example", "moeglin-s8", "--seed", "5"],
+            "oracle-compare without --count does not use --seed",
+        ),
+        (
+            ["size", "--example", "moeglin-s8", "--oracle", "--jobs", "2", "--recursion-limit", "1"],
+            "--oracle does not use --jobs or --recursion-limit",
+        ),
+        (
+            ["size", "--example", "moeglin-s8", "--oracle", "--recursion-limit", "10000"],
+            "--oracle does not use --recursion-limit",
+        ),
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert res.stderr == f"error: {stderr}\n"
 
 
 def test_recursion_limit_exit_four():

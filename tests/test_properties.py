@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arthur_packets.characters import eps_l_eta
-from arthur_packets.core import JordanBlock, Parameter, RhoLabel, natural_order
+from arthur_packets.core import JordanBlock, Parameter, RhoLabel, SignedData, natural_order
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt
 from arthur_packets.packets import candidates, enumerate_packet, packet_size
@@ -78,3 +78,27 @@ def test_far_away_shift_keeps_the_packet(blocks, d, zeta):
         psi = Parameter(blocks + (far,))
         packets.append([(m.l, m.eta) for m in enumerate_packet(psi, natural_order(psi))])
     assert packets[0] == packets[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fiber_blocks(RhoLabel("r0", "orthogonal", 1)),
+    fiber_blocks(RhoLabel("r1", "orthogonal", 1)).map(lambda blocks: blocks[0]),
+    st.integers(0, 3),
+)
+def test_fresh_rho_block_keeps_the_other_fibers_verdicts(blocks, fresh, pos):
+    # The packet plan's premise: a fiber's verdict does not see the other
+    # fibers.  The fresh block goes in at any occurrence index, so the
+    # fibers interleave.
+    pos = min(pos, len(blocks))
+    psi = Parameter(blocks)
+    wide = Parameter(blocks[:pos] + (fresh,) + blocks[pos:])
+    order, wide_order = natural_order(psi), natural_order(wide)
+    engine, wide_engine = Engine(), Engine()
+    for data in candidates(psi):
+        want = engine._decide_unchecked(psi, order, data).nonvanishing
+        for extra in candidates(Parameter((fresh,))):
+            l = data.l[:pos] + extra.l + data.l[pos:]
+            eta = data.eta[:pos] + extra.eta + data.eta[pos:]
+            got = wide_engine._decide_unchecked(wide, wide_order, SignedData(l, eta))
+            assert got.nonvanishing == want, (data, extra)
