@@ -39,6 +39,9 @@ EXIT_INVALID = 3
 EXIT_RECURSION = 4
 EXIT_INTERNAL = 5
 
+# The most orders ``size --all-orders`` checks; a parameter with more exits 2.
+MAX_ALL_ORDERS = 500
+
 # Library failures escaping a command, most specific first: (type, code,
 # message).  Click's own exceptions and sys.exit pass through untouched.
 _EXIT_CODES = (
@@ -202,7 +205,12 @@ def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recu
         count = count_three_block_classes(*three_block_shape(psi))
         counts = {"oracle": count}
     elif all_orders:
-        orders = all_admissible_orders(psi, limit=500)
+        orders = all_admissible_orders(psi, limit=MAX_ALL_ORDERS + 1)
+        if len(orders) > MAX_ALL_ORDERS:
+            _fail(
+                EXIT_PARSE,
+                f"--all-orders checks at most {MAX_ALL_ORDERS} orders; this parameter has more",
+            )
         counts = {}
         for i, order in enumerate(orders):
             counts[f"order-{i}"] = packet_size(

@@ -10,7 +10,8 @@ by their position in the expanded block tuple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .halfint import HalfInt, hi
@@ -136,11 +137,33 @@ class Parameter:
                         f"{block_parity(blk)}, but {self.group_kind} requires {want}"
                     )
 
-    def fibers(self) -> Dict[RhoLabel, Tuple[int, ...]]:
+    # Derived data, computed once per parameter on first use (a frozen
+    # dataclass keeps a cached_property in its instance dict).
+
+    @cached_property
+    def _fiber_map(self) -> Dict[RhoLabel, Tuple[int, ...]]:
         out: Dict[RhoLabel, List[int]] = {}
         for i, blk in enumerate(self.blocks):
             out.setdefault(blk.rho, []).append(i)
         return {rho: tuple(ix) for rho, ix in out.items()}
+
+    @cached_property
+    def records(self) -> Tuple[Tuple[int, int, int], ...]:
+        """``(2A, 2B, zeta)`` of every occurrence."""
+        return tuple((blk.A.twice, blk.B.twice, blk.zeta) for blk in self.blocks)
+
+    @cached_property
+    def l_max(self) -> Tuple[int, ...]:
+        """The largest l of every occurrence."""
+        return tuple(blk.l_max() for blk in self.blocks)
+
+    @cached_property
+    def _admissible(self) -> Dict["AdmissibleOrder", bool]:
+        """``is_admissible`` verdicts by order; a raised DataError is not kept."""
+        return {}
+
+    def fibers(self) -> Dict[RhoLabel, Tuple[int, ...]]:
+        return dict(self._fiber_map)
 
     def __len__(self):
         return len(self.blocks)
@@ -154,19 +177,30 @@ class AdmissibleOrder:
 
     def __post_init__(self):
         object.__setattr__(self, "per_rho", tuple(tuple(t) for t in self.per_rho))
+        # Verdicts are cached by order, so 1.0 or True must not pass for 1.
+        if not all(_is_int(occ) for t in self.per_rho for occ in t):
+            raise DataError(f"order entries must be integers, got {self.per_rho!r}")
 
-    def fibers(self) -> List[Tuple[int, ...]]:
-        """The nonempty fiber orders by least occurrence, the order of ``Parameter.fibers``."""
-        return sorted(filter(None, self.per_rho), key=min)
+    @cached_property
+    def _fibers(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(sorted(filter(None, self.per_rho), key=min))
 
-    def rank(self) -> Dict[int, int]:
-        """Map occurrence index -> rank within its fiber (greater block = larger rank)."""
+    @cached_property
+    def _rank(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
         for t in self.per_rho:
             n = len(t)
             for pos, occ in enumerate(t):
                 out[occ] = n - pos
         return out
+
+    def fibers(self) -> List[Tuple[int, ...]]:
+        """The nonempty fiber orders by least occurrence, the order of ``Parameter.fibers``."""
+        return list(self._fibers)
+
+    def rank(self) -> Dict[int, int]:
+        """Map occurrence index -> rank within its fiber (greater block = larger rank)."""
+        return dict(self._rank)
 
 
 @dataclass(frozen=True)
@@ -186,39 +220,46 @@ class SignedData:
                 raise DataError(f"eta entries must be +1/-1, got {e!r}")
 
     def check_bounds(self, psi: Parameter) -> None:
-        if len(self.l) != len(psi.blocks):
+        l_max = psi.l_max
+        if len(self.l) != len(l_max):
             raise DataError("data length does not match number of block occurrences")
-        for i, blk in enumerate(psi.blocks):
-            if not (0 <= self.l[i] <= blk.l_max()):
+        for i, (l, top) in enumerate(zip(self.l, l_max)):
+            if not 0 <= l <= top:
+                blk = psi.blocks[i]
                 raise DataError(
-                    f"l[{i}]={self.l[i]} out of range [0, {blk.l_max()}] for block "
-                    f"(A={blk.A}, B={blk.B})"
+                    f"l[{i}]={l} out of range [0, {top}] for block (A={blk.A}, B={blk.B})"
                 )
 
 
 def _fiber_admissible(psi: Parameter, fiber: Sequence[int]) -> bool:
     """Condition (P) on one fiber order, listed greatest first."""
-    for hi_pos in range(len(fiber)):
-        upper = psi.blocks[fiber[hi_pos]]
-        for lo_pos in range(hi_pos + 1, len(fiber)):
-            lower = psi.blocks[fiber[lo_pos]]
-            if (
-                lower.zeta == upper.zeta
-                and lower.A > upper.A
-                and lower.B > upper.B
-            ):
+    recs = [psi.records[i] for i in fiber]
+    for hi_pos, (tA, tB, zeta) in enumerate(recs):
+        for lower in recs[hi_pos + 1 :]:
+            if lower[2] == zeta and lower[0] > tA and lower[1] > tB:
                 return False
     return True
 
 
 def is_admissible(order: AdmissibleOrder, psi: Parameter) -> bool:
-    """Condition (P): a block strictly dominating another of the same zeta is greater."""
+    """Condition (P): a block strictly dominating another of the same zeta is greater.
+
+    The verdict is kept on ``psi`` by order; an order that does not match
+    the occurrences raises DataError on every call.
+    """
+    verdict = psi._admissible.get(order)
+    if verdict is None:
+        verdict = psi._admissible[order] = _check_admissible(order, psi)
+    return verdict
+
+
+def _check_admissible(order: AdmissibleOrder, psi: Parameter) -> bool:
     covered = sorted(itertools.chain.from_iterable(order.per_rho))
     if covered != list(range(len(psi.blocks))):
         raise DataError("order does not cover the block occurrences exactly once")
     # With the cover exact, the i-th fiber by least occurrence holds the
     # least occurrence of the i-th rho, so it matches that rho or none does.
-    for fiber, (rho, ix) in zip(order.fibers(), psi.fibers().items()):
+    for fiber, (rho, ix) in zip(order._fibers, psi._fiber_map.items()):
         if sorted(fiber) != list(ix):
             raise DataError(f"order has no fiber matching rho {rho.id!r}")
         if not _fiber_admissible(psi, fiber):

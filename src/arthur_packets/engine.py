@@ -307,7 +307,7 @@ class Engine:
         self._steps = 0
         ok = all(
             self._fiber_decide(fiber_records(psi, reversed(fiber), data.l, data.eta), trace)
-            for fiber in order.fibers()
+            for fiber in order._fibers
         )
         return Verdict(ok, tuple(trace) if trace is not None else ())
 

@@ -16,9 +16,7 @@ per-fiber member lists with sign product +1, sorted for determinism;
 
 from __future__ import annotations
 
-import itertools
 from contextlib import nullcontext
-from math import prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .characters import eps_l_eta
@@ -50,13 +48,12 @@ def _options(blk: JordanBlock) -> List[Tuple[int, Sign, Sign]]:
 
 def _choices(blocks: Sequence[JordanBlock]) -> List[Choice]:
     """The canonical grid of ``blocks``, each point with its sign product."""
-    return [
-        (
-            prod(opt[2] for opt in combo),
-            SignedData(tuple(opt[0] for opt in combo), tuple(opt[1] for opt in combo)),
-        )
-        for combo in itertools.product(*map(_options, blocks))
-    ]
+    rows = [(1, (), ())]  # (sign, l, eta) over the blocks so far
+    for options in map(_options, blocks):
+        rows = [
+            (s * sign, l + (li,), eta + (e,)) for s, l, eta in rows for li, e, sign in options
+        ]
+    return [(s, SignedData(l, eta)) for s, l, eta in rows]
 
 
 def candidates(psi: Parameter) -> List[SignedData]:
@@ -168,7 +165,7 @@ def enumerate_packet(
     concatenated = [occ for fib in fibers for occ in fib.occurrences]
     slots = sorted(range(len(concatenated)), key=concatenated.__getitem__)
     members = [
-        SignedData(tuple(l[j] for j in slots), tuple(eta[j] for j in slots))
+        SignedData(tuple(map(l.__getitem__, slots)), tuple(map(eta.__getitem__, slots)))
         for s, l, eta in rows
         if s == 1
     ]

@@ -11,8 +11,7 @@ moves the pulled block through its fiber with ``transforms.transport``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .transforms import Rec
 
@@ -65,19 +64,25 @@ def change_sign(rec: Rec) -> Tuple[str, Rec]:
 # ---------------------------------------------------------------------------
 
 def measure(recs: Sequence[Rec]) -> Tuple[int, int, int]:
-    """(working-set size, sum of 2B, count of zetas opposing the max-A block)."""
+    """(working-set size, sum of 2B, count of zetas opposing the max-A block).
+
+    The max-A block is the first record with the largest (2A, 2B).
+    """
     if not recs:
         return (0, 0, 0)
-    top = max(recs, key=lambda rec: (rec[0], rec[1]))
-    return (
-        len(recs),
-        sum(rec[1] for rec in recs),
-        sum(1 for rec in recs if rec[2] != top[2]),
-    )
+    top_a, top_b, top_z = recs[0][:3]
+    total = plus = 0
+    for tA, tB, zeta, _, _ in recs:
+        total += tB
+        if zeta == 1:
+            plus += 1
+        if tA > top_a or (tA == top_a and tB > top_b):
+            top_a, top_b, top_z = tA, tB, zeta
+    # Every zeta is +1 or -1.
+    return (len(recs), total, len(recs) - plus if top_z == 1 else plus)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One rewrite applied by the engine, with its measure bookkeeping.
 
     ``before`` is the working-set record tuple the step consumed; ``after``
@@ -88,19 +93,15 @@ class ReductionStep:
     kind: str  # PullUnequal | PullEqual | Expand | ChangeSignIntegral | ChangeSignHalf
     before: Tuple[Rec, ...]
     after: Tuple[Tuple[Rec, ...], ...]
-    measure_before: Tuple[int, int, int] = field(default=(0, 0, 0))
-    measure_after: Tuple[Tuple[int, int, int], ...] = field(default=())
+    measure_before: Tuple[int, int, int] = (0, 0, 0)
+    measure_after: Tuple[Tuple[int, int, int], ...] = ()
 
     @staticmethod
     def make(kind: str, before, after) -> "ReductionStep":
         before = tuple(before)
-        after = tuple(tuple(sub) for sub in after)
+        after = tuple(map(tuple, after))
         return ReductionStep(
-            kind,
-            before,
-            after,
-            measure(before),
-            tuple(measure(sub) for sub in after),
+            kind, before, after, measure(before), tuple(map(measure, after))
         )
 
     def decreases(self) -> bool:

@@ -153,10 +153,8 @@ def fiber_records(
     psi: Parameter, occurrences: Iterable[int], l: Sequence[int], eta: Sequence[Sign]
 ) -> List[Rec]:
     """The records of the given block occurrences, in the order listed."""
-    return [
-        (psi.blocks[i].A.twice, psi.blocks[i].B.twice, psi.blocks[i].zeta, l[i], eta[i])
-        for i in occurrences
-    ]
+    records = psi.records
+    return [records[i] + (l[i], eta[i]) for i in occurrences]
 
 
 def swap_records(lower: Rec, upper: Rec) -> Tuple[Rec, Rec]:
@@ -255,13 +253,14 @@ def reorder(
         raise DataError("to_order is not admissible")
     l = list(data.l)
     eta = list(data.eta)
-    target_rank = to_order.rank()
-    for current, target in zip(from_order.fibers(), to_order.fibers()):
+    records = psi.records
+    target_rank = to_order._rank
+    for current, target in zip(from_order._fibers, to_order._fibers):
         # Both fibers list greatest first; records are built ascending.
         below, want = current[::-1], target[::-1]
         recs = transport(fiber_records(psi, below, l, eta), [target_rank[occ] for occ in below])
         # The transported records must sit on the target's blocks.
-        if [rec[:3] for rec in recs] != [rec[:3] for rec in fiber_records(psi, want, l, eta)]:
+        if [rec[:3] for rec in recs] != [records[occ] for occ in want]:
             raise AssertionError("reorder did not reach the target order")
         for occ, rec in zip(want, recs):
             l[occ], eta[occ] = rec[3], rec[4]

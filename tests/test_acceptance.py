@@ -318,6 +318,41 @@ def test_criterion_5_order_invariance_and_reorder_bijectivity():
     assert tested >= 100
 
 
+def _small_fiber_parameters():
+    """Every single-fiber parameter of 2-3 blocks with 2A <= 6 on the
+    integral lattice and 2A <= 7 on the half-integral one, as a multiset."""
+    for half, top in ((0, 6), (1, 7)):
+        blocks = [
+            JordanBlock(RHO, HalfInt(tA), HalfInt(tB), zeta)
+            for tA in range(half, top + 1, 2)
+            for tB in range(half, tA + 1, 2)
+            for zeta in (1, -1)
+        ]
+        for n in (2, 3):
+            for combo in itertools.combinations_with_replacement(blocks, n):
+                yield Parameter(combo)
+
+
+def test_order_invariance_bounded_exhaustive():
+    # The bound keeps the sweep to a few seconds; every order of every
+    # parameter in it is checked, against the first order.
+    parameters = orders_checked = 0
+    for psi in _small_fiber_parameters():
+        orders = all_admissible_orders(psi)
+        if len(orders) < 2:
+            continue
+        parameters += 1
+        engine = Engine()
+        first = enumerate_packet(psi, orders[0], engine=engine)
+        for order in orders:
+            pack = enumerate_packet(psi, order, engine=engine)
+            assert len(pack) == len(first), (psi, order)
+            image = {sigma0_canonical(psi, reorder(psi, orders[0], order, d)) for d in first}
+            assert image == {sigma0_canonical(psi, d) for d in pack}, (psi, order)
+            orders_checked += 1
+    assert (parameters, orders_checked) == (3380, 14672)
+
+
 def _candidate_filter(psi, order):
     """The packet point by point: every grid point that is quasisplit and
     nonvanishing, each decided on its own with the per-candidate engine call."""

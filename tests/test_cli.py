@@ -65,7 +65,7 @@ def test_decide_rejects_invalid_data():
     assert res.exit_code == 3
 
 
-def test_parse_errors_exit_two():
+def test_parse_errors_exit_two(tmp_path):
     res = runner.invoke(main, ["decide", "--l", "0", "--eta", "1"])
     assert res.exit_code == 2  # neither --file nor --example
     res = runner.invoke(
@@ -120,6 +120,13 @@ def test_parse_errors_exit_two():
         res = runner.invoke(main, args)
         assert res.exit_code == 2, (args, res.output)
         assert res.stderr == f"error: {stderr}\n"
+    # Six identical blocks have 6! = 720 admissible orders, more than
+    # --all-orders checks; it refuses instead of checking only some.
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"blocks": [{"rho": "r", "A": 1, "B": 1, "zeta": 1, "count": 6}]}))
+    res = runner.invoke(main, ["size", "--file", str(path), "--all-orders"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: --all-orders checks at most 500 orders; this parameter has more\n"
 
 
 def test_recursion_limit_exit_four():

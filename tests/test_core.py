@@ -81,6 +81,43 @@ def test_order_coverage_checked():
         is_admissible(AdmissibleOrder(((0,),)), psi)
 
 
+def test_cached_verdicts_keep_every_check():
+    psi = Parameter((blk(2, 1, 1), blk(4, 2, 1), blk(3, 0, -1)))
+    good = AdmissibleOrder(((1, 0, 2),))
+    bad = AdmissibleOrder(((0, 1, 2),))  # block 1 dominates block 0
+    short = AdmissibleOrder(((1, 0),))
+    for _ in range(2):
+        assert is_admissible(good, psi)
+        assert not is_admissible(bad, psi)
+        # A bad cover raises on every call, also after a cached verdict.
+        with pytest.raises(DataError, match="does not cover"):
+            is_admissible(short, psi)
+    # Equal but distinct orders get the same verdict.
+    assert is_admissible(AdmissibleOrder(([1, 0, 2],)), psi)
+    assert not is_admissible(AdmissibleOrder(([0, 1, 2],)), psi)
+    # The verdicts live on the parameter, not on equal parameters' caches.
+    assert not is_admissible(bad, Parameter(psi.blocks))
+    # An entry equal to an index but not an int never reaches a cached verdict.
+    for entry in (1.0, True):
+        with pytest.raises(DataError, match="order entries must be integers"):
+            AdmissibleOrder(((entry, 0, 2),))
+
+
+def test_returned_containers_are_fresh():
+    s = RhoLabel("s", "orthogonal", 1)
+    psi = Parameter((blk(2, 1, 1), blk(4, 2, 1, s), blk(3, 0, -1)))
+    order = AdmissibleOrder(((2, 0), (1,)))
+    psi.fibers()[RHO] = (1,)
+    psi.fibers().clear()
+    order.fibers().reverse()
+    order.rank()[0] = 7
+    assert psi.fibers() == {RHO: (0, 2), s: (1,)}
+    assert order.fibers() == [(2, 0), (1,)]
+    assert order.rank() == {2: 2, 0: 1, 1: 1}
+    assert is_admissible(order, psi)
+    assert natural_order(psi).per_rho == ((2, 0), (1,))
+
+
 def test_order_must_match_fibers():
     # The cover is exact, but each tuple mixes the two fibers.
     s = RhoLabel("s", "orthogonal", 1)

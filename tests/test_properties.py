@@ -4,10 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arthur_packets.characters import eps_l_eta
-from arthur_packets.core import JordanBlock, Parameter, RhoLabel, SignedData, natural_order
+from arthur_packets.core import (
+    AdmissibleOrder,
+    JordanBlock,
+    Parameter,
+    RhoLabel,
+    SignedData,
+    is_admissible,
+    natural_order,
+)
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt
 from arthur_packets.packets import candidates, enumerate_packet, packet_size
+from arthur_packets.reductions import measure
 
 
 @st.composite
@@ -102,3 +111,77 @@ def test_fresh_rho_block_keeps_the_other_fibers_verdicts(blocks, fresh, pos):
             eta = data.eta[:pos] + extra.eta + data.eta[pos:]
             got = wide_engine._decide_unchecked(wide, wide_order, SignedData(l, eta))
             assert got.nonvanishing == want, (data, extra)
+
+
+@st.composite
+def parameter_and_order(draw):
+    """1-6 blocks on up to two interleaved rhos, and any order of their fibers."""
+    rhos = [RhoLabel("r0", "orthogonal", 1), RhoLabel("r1", "symplectic", 2)]
+    half = draw(st.sampled_from((0, 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        tB = 2 * draw(st.integers(0, 3)) + half
+        tA = tB + 2 * draw(st.integers(0, 4))
+        rho = draw(st.sampled_from(rhos))
+        blocks.append(JordanBlock(rho, HalfInt(tA), HalfInt(tB), draw(st.sampled_from((1, -1)))))
+    per_rho = [
+        draw(st.permutations([i for i, blk in enumerate(blocks) if blk.rho == rho]))
+        for rho in rhos
+    ]
+    order = AdmissibleOrder(tuple(map(tuple, draw(st.permutations(per_rho)))))
+    return Parameter(tuple(blocks)), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(parameter_and_order())
+def test_cached_derived_data_matches_a_fresh_computation(case):
+    psi, order = case
+    blocks = psi.blocks
+    for _ in range(2):
+        assert psi.records == tuple((b.A.twice, b.B.twice, b.zeta) for b in blocks)
+        assert psi.l_max == tuple(b.l_max() for b in blocks)
+        fibers = {}
+        for i, b in enumerate(blocks):
+            fibers.setdefault(b.rho, []).append(i)
+        assert psi.fibers() == {rho: tuple(ix) for rho, ix in fibers.items()}
+        assert order.fibers() == sorted((t for t in order.per_rho if t), key=min)
+        assert order.rank() == {occ: len(t) - k for t in order.per_rho for k, occ in enumerate(t)}
+        # Condition (P) on HalfInt coordinates: no block strictly dominates
+        # a greater block of the same zeta.
+        admissible = not any(
+            blocks[lo].zeta == blocks[up].zeta
+            and blocks[lo].A > blocks[up].A
+            and blocks[lo].B > blocks[up].B
+            for t in order.per_rho
+            for k, up in enumerate(t)
+            for lo in t[k + 1 :]
+        )
+        assert is_admissible(order, psi) == admissible
+        assert is_admissible(AdmissibleOrder(order.per_rho), Parameter(blocks)) == admissible
+
+
+def _measure_reference(recs):
+    """The termination measure as first written: the top record by max."""
+    if not recs:
+        return (0, 0, 0)
+    top = max(recs, key=lambda rec: (rec[0], rec[1]))
+    return (len(recs), sum(rec[1] for rec in recs), sum(1 for rec in recs if rec[2] != top[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.integers(0, 2),
+            st.sampled_from((1, -1)),
+            st.integers(0, 3),
+            st.sampled_from((1, -1)),
+        ),
+        max_size=6,
+    )
+)
+def test_measure_matches_the_reference(recs):
+    # Small coordinate ranges, so that ties on (2A, 2B) are common.
+    recs = tuple((tA + tB, tB, zeta, l, eta) for tA, tB, zeta, l, eta in recs)
+    assert measure(recs) == _measure_reference(recs)

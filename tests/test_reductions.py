@@ -198,6 +198,17 @@ def test_measure_and_reduction_step():
     assert not bad.decreases()
 
 
+def test_measure_tie_takes_the_first_top_record():
+    # Two records share the largest (2A, 2B) with opposite zeta: the first
+    # of them is the top block, whose zeta the third component opposes.
+    tied = [(6, 2, 1, 0, 1), (6, 2, -1, 1, -1)]
+    low = (2, 0, -1, 0, 1)
+    assert measure((low,) + tuple(tied)) == (3, 4, 2)
+    assert measure((low,) + tuple(tied[::-1])) == (3, 4, 1)
+    assert measure(tuple(tied) + (low,)) == (3, 4, 2)
+    assert measure(tuple(tied[::-1]) + (low,)) == (3, 4, 1)
+
+
 def _verdict(recs):
     return Engine()._fiber_decide(recs, None)
 

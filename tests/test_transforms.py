@@ -4,6 +4,7 @@ import pytest
 
 from arthur_packets.core import (
     AdmissibleOrder,
+    DataError,
     JordanBlock,
     Parameter,
     RhoLabel,
@@ -280,3 +281,27 @@ def test_reorder_round_trip_randomized():
             continue  # data violates a necessary condition along the path
         assert sigma0_equiv(back, data, psi)
         trials += 1
+
+
+def test_reorder_checks_every_call():
+    # The golden parameter: (40, 10, +1), (37, 7, -1), (8, 4, +1).
+    psi = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)))
+    natural = AdmissibleOrder(((0, 1, 2),))
+    swapped = AdmissibleOrder(((1, 0, 2),))
+    bad = AdmissibleOrder(((2, 1, 0),))  # block 0 dominates block 2
+    short = AdmissibleOrder(((0, 1),))
+    data = SignedData((10, 10, 2), (1, 1, 1))
+    out_of_range = SignedData((10, 10, 3), (1, 1, 1))
+    for _ in range(2):
+        assert reorder(psi, natural, swapped, data) == SignedData((10, 10, 2), (-1, -1, 1))
+        with pytest.raises(DataError, match="^from_order is not admissible$"):
+            reorder(psi, bad, swapped, data)
+        with pytest.raises(DataError, match="^to_order is not admissible$"):
+            reorder(psi, natural, bad, data)
+        with pytest.raises(DataError, match="does not cover"):
+            reorder(psi, natural, short, data)
+        with pytest.raises(DataError) as exc:
+            reorder(psi, natural, swapped, out_of_range)
+        assert str(exc.value) == "l[2]=3 out of range [0, 2] for block (A=8, B=4)"
+        with pytest.raises(DataError, match="data length"):
+            reorder(psi, natural, swapped, SignedData((10, 10), (1, 1)))
