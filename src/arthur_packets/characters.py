@@ -36,12 +36,16 @@ def eps_l_eta(block: JordanBlock, l: int, eta: Sign) -> Sign:
 
 
 def quasisplit_ok(psi: Parameter, data: SignedData) -> bool:
-    """True iff the product of eps_l_eta over all block occurrences is +1."""
+    """True iff the product of eps_l_eta over all block occurrences is +1.
+
+    Counts the -1 factors of each eps_l_eta directly from the int records.
+    """
     data.check_bounds(psi)
-    prod = 1
-    for i, blk in enumerate(psi.blocks):
-        prod *= eps_l_eta(blk, data.l[i], data.eta[i])
-    return prod == 1
+    flips = 0
+    for (tA, tB, _), l, eta in zip(psi.records, data.l, data.eta):
+        d = (tA - tB) // 2
+        flips += (d + 1) // 2 + l + (eta == -1 and d % 2 == 0)
+    return flips % 2 == 0
 
 
 def _pair_counted(abz1, abz2, gt12: bool) -> bool:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 comparison mismatch, 2 parse error, 3 invalid data,
-4 the ``--recursion-limit`` step budget exceeded, 5 internal error (an engine
-invariant failed, or any other unexpected exception).  Commands raise library
+4 the ``--recursion-limit`` step budget exceeded, 5 internal error (an
+``InvariantError``, or any other unexpected exception).  Commands raise library
 exceptions; ``main`` maps them to codes through the one table ``_EXIT_CODES``.
 """
 
@@ -18,6 +18,7 @@ from click.core import ParameterSource
 from .core import (
     AdmissibleOrder,
     DataError,
+    InvariantError,
     Parameter,
     ParameterError,
     SignedData,
@@ -48,6 +49,7 @@ _EXIT_CODES = (
     (RecursionLimitError, EXIT_RECURSION, str),
     (ParameterError, EXIT_PARSE, str),
     (DataError, EXIT_INVALID, str),
+    (InvariantError, EXIT_INTERNAL, lambda exc: f"invariant: {exc}"),
     (Exception, EXIT_INTERNAL, lambda exc: f"internal: {type(exc).__name__}: {exc}"),
 )
 

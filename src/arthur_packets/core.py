@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .halfint import HalfInt, hi
 
@@ -29,6 +29,10 @@ class ParameterError(ValueError):
 
 class DataError(ValueError):
     """Raised for invalid packet coordinates or orders."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant of a rewrite or a transform failed: a bug, not bad input."""
 
 
 def _is_int(x) -> bool:
@@ -231,12 +235,17 @@ class SignedData:
                 )
 
 
+def _dominates(upper, lower) -> bool:
+    """Whether record ``upper`` strictly dominates ``lower`` with the same zeta."""
+    return upper[2] == lower[2] and upper[0] > lower[0] and upper[1] > lower[1]
+
+
 def _fiber_admissible(psi: Parameter, fiber: Sequence[int]) -> bool:
     """Condition (P) on one fiber order, listed greatest first."""
     recs = [psi.records[i] for i in fiber]
-    for hi_pos, (tA, tB, zeta) in enumerate(recs):
+    for hi_pos, rec in enumerate(recs):
         for lower in recs[hi_pos + 1 :]:
-            if lower[2] == zeta and lower[0] > tA and lower[1] > tB:
+            if _dominates(lower, rec):
                 return False
     return True
 
@@ -276,18 +285,38 @@ def natural_order(psi: Parameter) -> AdmissibleOrder:
     return AdmissibleOrder(tuple(per_rho))
 
 
+def _fiber_orders(records, rest: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """The admissible orders of the occurrences ``rest``, greatest first, in
+    the order of the filtered ``itertools.permutations(rest)``.
+
+    The next block may be any one that no other same-zeta block strictly
+    dominates; one always exists, so no branch dead-ends.  Once no block is
+    dominated, every order is admissible.
+    """
+    free = [
+        occ for occ in rest if not any(_dominates(records[o], records[occ]) for o in rest)
+    ]
+    if len(free) == len(rest):
+        yield from itertools.permutations(rest)
+        return
+    for occ in free:
+        k = rest.index(occ)
+        for tail in _fiber_orders(records, rest[:k] + rest[k + 1 :]):
+            yield (occ,) + tail
+
+
 def all_admissible_orders(psi: Parameter, limit: Optional[int] = None) -> List[AdmissibleOrder]:
-    """Every admissible order, as the product of per-fiber admissible permutations."""
+    """Every admissible order, or the first ``limit``, in the order of the
+    product of the per-fiber admissible orders.
+
+    The first ``limit`` products use only the first ``limit`` orders of each
+    fiber, so no fiber is listed further.
+    """
     per_fiber = [
-        [perm for perm in itertools.permutations(ix) if _fiber_admissible(psi, perm)]
+        list(itertools.islice(_fiber_orders(psi.records, ix), limit))
         for ix in psi.fibers().values()
     ]
-    out: List[AdmissibleOrder] = []
-    for combo in itertools.product(*per_fiber):
-        out.append(AdmissibleOrder(tuple(combo)))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return [AdmissibleOrder(combo) for combo in itertools.islice(itertools.product(*per_fiber), limit)]
 
 
 # ---------------------------------------------------------------------------

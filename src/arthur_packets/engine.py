@@ -3,11 +3,14 @@
 The engine normalizes each rho-fiber to the natural order (A descending, ties
 by B), transporting (l, eta) with ``transforms.transport``.  The pure kernel
 ``rewrite`` maps a canonical fiber to a verdict or to the subproblems of one
-step; the only rewrites are Pull, Expand and Change sign.  ``Engine`` walks
-that conjunction tree on an explicit stack, memoizing every verdict, until
-every remaining piece is in good shape.  Good shape is a stop rule: its pair
-chunks are adjacent same-zeta pairs, whose basic condition the kernel's fast
-fail has already checked.
+step; the only rewrites are Pull, Expand and Change sign.  Which rewrite
+applies, and where, depends only on the fiber's skeleton (tA, tB, zeta), so
+``rewrite(seq) = _apply(_rule(skeleton), seq)``: ``_rule`` decides the
+skeleton's half once, and ``_apply`` runs every data check on the records.
+``Engine`` walks that conjunction tree on an explicit stack, memoizing every
+verdict, until every remaining piece is in good shape.  Good shape is a stop
+rule: its pair chunks are adjacent same-zeta pairs, whose basic condition the
+kernel's fast fail has already checked.
 
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
@@ -16,10 +19,18 @@ ascending order (index 0 = least block), with tA, tB doubled coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .characters import quasisplit_ok
-from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible
+from .core import (
+    AdmissibleOrder,
+    DataError,
+    InvariantError,
+    Parameter,
+    SignedData,
+    is_admissible,
+)
 from .reductions import ReductionStep, change_sign, expand_amount
 from .transforms import (
     Rec,
@@ -27,7 +38,9 @@ from .transforms import (
     _sgn_pow,
     fiber_records,
     sup_condition_ok,
+    swap_along,
     swap_records,
+    swap_schedule,
     transport,
 )
 
@@ -113,14 +126,117 @@ def _good_shape(recs: Sequence[Rec]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite kernel
+# Rewrite kernel: a rule from the skeleton, applied to the records
 # ---------------------------------------------------------------------------
 
-def _moved(seq: Sequence[Rec], src: int, dst: int) -> List[Rec]:
-    """Move record ``src`` to position ``dst``, the others keeping their order."""
-    keys = [2 * i for i in range(len(seq))]
-    keys[src] = 2 * dst + (1 if dst > src else -1)
-    return transport(seq, keys)
+# Type aliases for readers and type checkers; the import defines none of them.
+if TYPE_CHECKING:
+    # A fiber's skeleton: the (tA, tB, zeta) of its records, in order.
+    Skeleton = Tuple[Tuple[int, int, int], ...]
+    # What one rewrite does to every fiber of a canonical skeleton, as
+    # (checks, kind, arg); see ``_rule``.
+    Rule = Tuple[List[Tuple[int, bool, int, int]], str, Union[range, int, str, None]]
+    # How to canonicalize a subproblem of a known skeleton: its sort
+    # schedule and its (position, l) pairs where eta is invisible (A - B
+    # odd, l maximal).
+    Plan = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
+
+
+def _rule(skeleton: Skeleton) -> Rule:
+    """The rule of a canonical skeleton: everything a rewrite decides
+    without looking at (l, eta), as ``(checks, kind, arg)``.
+
+    ``checks`` lists the fast fail's adjacent same-zeta pairs in turn, as
+    ``(i, basic, d_up, d_lo)``: ``basic_ok`` when the upper block's B is not
+    below the lower one's, else ``sup_condition_ok`` with the pair's A - B.
+    ``kind`` is ``Good`` (the stop rule), ``PullUnequal``, ``PullEqual``,
+    ``Expand``, ``ChangeSign`` or ``Invariant``; ``arg`` is the swap
+    positions, the Expand amount, or the failed site's message.
+    """
+    n = len(skeleton)
+    checks = []
+    for i in range(n - 1):
+        lo, up = skeleton[i], skeleton[i + 1]
+        if lo[2] == up[2]:
+            checks.append((i, up[1] >= lo[1], (up[0] - up[1]) // 2, (lo[0] - lo[1]) // 2))
+    # Every pair chunk is an adjacent same-zeta comparable pair: checked by
+    # the fast fail.
+    if _good_shape(skeleton):
+        return (checks, "Good", None)
+
+    P = skeleton[-1]
+    top_a, top_b, top_z = P
+    # The lower same-zeta blocks whose interval P strictly contains.
+    pull = [
+        i
+        for i, (tA, tB, zeta) in enumerate(skeleton[:-1])
+        if zeta == top_z and tB >= top_b and tA <= top_a and (tB > top_b or tA < top_a)
+    ]
+    if pull:
+        # The greatest contained block moves up to just below P.
+        q = max(pull, key=lambda i: (skeleton[i][0], skeleton[i][1], i))
+        return (checks, "PullUnequal", range(q, n - 2))
+    equal = [i for i in range(n - 1) if skeleton[i] == P]
+    if equal:
+        # Blocks between equal-interval partners share the key and have the
+        # opposite zeta, so these are all U-swaps.
+        return (checks, "PullEqual", range(max(equal), n - 2))
+    rest = skeleton[:-1]
+    # A site that fails is raised only once the fast fail has passed.
+    try:
+        t = expand_amount(P, rest)
+    except InvariantError as exc:
+        return (checks, "Invariant", str(exc))
+    if t >= 1:
+        return (checks, "Expand", t)
+    # B of the top block is 0 or 1/2, and every lower block has the
+    # opposite zeta: move it to the bottom with U-swaps, change sign.
+    if any(rec[2] == top_z for rec in rest):
+        return (checks, "Invariant", "Change-sign site: a lower block has the same zeta")
+    return (checks, "ChangeSign", range(n - 2, -1, -1))
+
+
+def _apply(rule: Rule, seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, Tuple]]:
+    """Run a rule on a canonical fiber of its skeleton, checking the data."""
+    checks, kind, arg = rule
+    for i, basic, d_up, d_lo in checks:
+        lo, up = seq[i], seq[i + 1]
+        if basic:
+            if not basic_ok(lo, up):
+                return None, False
+        elif not sup_condition_ok(d_up, d_lo, up[3], up[4], lo[3], lo[4]):
+            return None, False
+    if kind == "Good":
+        return None, True
+    if kind == "PullUnequal":
+        try:
+            work = swap_along(seq, arg)
+            Q, P = work[-2:]
+            # S+ on the nested pair: P's data in the order with Q above.  It
+            # raises exactly when the pair's basic condition fails.
+            P_swapped, _ = swap_records(Q, P)
+        except TransformPreconditionError:
+            return None, False
+        rest = work[:-2]
+        step = ReductionStep.make(kind, seq, (rest, rest + [Q], rest + [P_swapped]))
+        return step, step.after
+    if kind == "PullEqual":
+        work = swap_along(seq, arg)
+        R, P = work[-2:]
+        rest = work[:-2]
+        step = ReductionStep.make(kind, seq, (rest, rest + [R]))
+        return step, basic_ok(R, P) and step.after
+    if kind == "Expand":
+        *rest, P = seq
+        expanded = (P[0] + 2 * arg, P[1] - 2 * arg, P[2], P[3] + arg, P[4])
+        step = ReductionStep.make(kind, seq, (rest + [expanded],))
+        return step, step.after
+    if kind == "ChangeSign":
+        work = swap_along(seq, arg)
+        kind, changed = change_sign(work[0])
+        step = ReductionStep.make(kind, seq, ([changed] + work[1:],))
+        return step, step.after
+    raise InvariantError(arg)
 
 
 def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, Tuple]]:
@@ -130,133 +246,104 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
     is the verdict; only a Pull-equal step whose basic condition fails
     returns its step and False.
     """
-    n = len(seq)
-
-    # Fast fail: necessary conditions on adjacent same-zeta pairs.
-    for i in range(n - 1):
-        lo, up = seq[i], seq[i + 1]
-        if lo[2] != up[2]:
-            continue
-        if up[1] >= lo[1]:
-            if not basic_ok(lo, up):
-                return None, False
-        else:
-            if not sup_condition_ok(_d(up), _d(lo), up[3], up[4], lo[3], lo[4]):
-                return None, False
-
-    # Every pair chunk is an adjacent same-zeta comparable pair: checked above.
-    if _good_shape(seq):
-        return None, True
-
-    P = seq[-1]
-    rest = list(seq[:-1])
-
-    def contained(rec: Rec) -> bool:
-        return (
-            rec[2] == P[2]
-            and rec[1] >= P[1]
-            and rec[0] <= P[0]
-            and (rec[1] > P[1] or rec[0] < P[0])
-        )
-
-    pull = [i for i in range(n - 1) if contained(seq[i])]
-    equal = [
-        i
-        for i in range(n - 1)
-        if seq[i][2] == P[2] and seq[i][0] == P[0] and seq[i][1] == P[1]
-    ]
-
-    if pull:
-        q = max(pull, key=lambda i: (seq[i][0], seq[i][1], i))
-        try:
-            work = _moved(seq, q, n - 2)
-            P = work[-1]
-            Q = work[-2]
-            # S+ on the nested pair: P's data in the order with Q above.  It
-            # raises exactly when the pair's basic condition fails.
-            P_swapped, _ = swap_records(Q, P)
-        except TransformPreconditionError:
-            return None, False
-        rest = work[:-2]
-        step = ReductionStep.make(
-            "PullUnequal", seq, (rest, rest + [Q], rest + [P_swapped])
-        )
-        return step, step.after
-
-    if equal:
-        # Blocks between equal-interval partners share the key and have the
-        # opposite zeta, so these are all U-swaps.
-        work = _moved(seq, max(equal), n - 2)
-        P = work[-1]
-        R = work[-2]
-        rest = work[:-2]
-        step = ReductionStep.make("PullEqual", seq, (rest, rest + [R]))
-        return step, basic_ok(R, P) and step.after
-
-    t = expand_amount(P, rest)
-    if t >= 1:
-        expanded = (P[0] + 2 * t, P[1] - 2 * t, P[2], P[3] + t, P[4])
-        step = ReductionStep.make("Expand", seq, (rest + [expanded],))
-        return step, step.after
-
-    # B of the top block is 0 or 1/2, and every lower block has the
-    # opposite zeta: move it to the bottom with U-swaps, change sign.
-    if any(rec[2] == P[2] for rec in rest):
-        raise AssertionError("Change-sign site: a lower block has the same zeta")
-    work = _moved(seq, n - 1, 0)
-    kind, changed = change_sign(work[0])
-    step = ReductionStep.make(kind, seq, ([changed] + work[1:],))
-    return step, step.after
+    return _apply(_rule(tuple(rec[:3] for rec in seq)), seq)
 
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
+def _plan(recs: Sequence[Rec]) -> Plan:
+    """The plan that canonicalizes ``recs``, and every fiber of their skeleton."""
+    keys = [(rec[0], rec[1]) for rec in recs]
+    free = tuple(
+        (i, (tA - tB + 2) // 4) for i, (tA, tB) in enumerate(sorted(keys)) if (tA - tB) % 4 == 2
+    )
+    return tuple(swap_schedule(keys)), free
+
+
 class Engine:
+    """Decides fibers, memoizing every verdict by canonical fiber.
+
+    A rule is a pure function of the canonical skeleton, so an engine keeps
+    the rules of the skeletons that come up again in a later top-level
+    decision, each with its subproblems' plans (their skeletons follow from
+    the parent's).  A skeleton seen in one decision only is not kept: on
+    inputs without reuse the rules would only cost memory.
+    """
+
     def __init__(self, recursion_limit: int = 10000):
         self.recursion_limit = recursion_limit
         self._memo = {}
         self._steps = 0
+        # skeleton -> [rule, subproblem plans or None until first emitted]
+        self._rules: Dict[Skeleton, list] = {}
+        self._first_seen: Dict[int, int] = {}  # hash(skeleton) -> decision number
+        self._decisions = 0
 
     # -- fiber normalization ---------------------------------------------
 
     @staticmethod
-    def _canonicalize(seq: Sequence[Rec]) -> Tuple[Rec, ...]:
-        """Sort into ascending natural order, transporting the data.
+    def _canonicalize(seq: Sequence[Rec], plan: Optional[Plan] = None) -> Tuple[Rec, ...]:
+        """Sort into ascending natural order, transporting the data, and set
+        eta = +1 where it is invisible (2l = A - B + 1).
 
         Raises TransformPreconditionError when a same-zeta swap finds its
         necessary condition violated (which implies the verdict is False).
         """
-        work = transport(seq, [(rec[0], rec[1]) for rec in seq])
-        for i, rec in enumerate(work):
-            if 2 * rec[3] == _d(rec) + 1:
-                work[i] = (rec[0], rec[1], rec[2], rec[3], 1)
+        if plan is None:
+            work = transport(seq, [(rec[0], rec[1]) for rec in seq])
+            for i, rec in enumerate(work):
+                if 4 * rec[3] == rec[0] - rec[1] + 2:
+                    work[i] = (rec[0], rec[1], rec[2], rec[3], 1)
+        else:
+            work = swap_along(seq, plan[0])
+            for i, l in plan[1]:
+                rec = work[i]
+                if rec[3] == l:
+                    work[i] = (rec[0], rec[1], rec[2], l, 1)
         return tuple(work)
+
+    def _rule_of(self, canon: Tuple[Rec, ...], decision: int):
+        """The rule of a canonical fiber's skeleton and its stored entry, if any.
+
+        A skeleton whose hash first came up in this decision has no stored
+        rule; one seen in an earlier decision has its rule stored now.
+        """
+        skeleton = tuple([rec[:3] for rec in canon])
+        if self._first_seen.setdefault(hash(skeleton), decision) == decision:
+            return _rule(skeleton), None
+        stored = self._rules.get(skeleton)
+        if stored is None:
+            stored = self._rules[skeleton] = [_rule(skeleton), None]
+        return stored[0], stored
 
     # -- fiber decision ---------------------------------------------------
 
     def _fiber_decide(self, seq: Sequence[Rec], trace: Optional[list]) -> bool:
-        """Decide a fiber by a depth-first walk of ``rewrite``'s conjunctions.
+        """Decide a fiber by a depth-first walk of the rewrites' conjunctions.
 
         A stack frame closes, memoized, once a subproblem fails or all hold.
         Memo hits are reused with or without a trace, so a trace lists only
         the steps this walk takes.
         """
+        self._decisions += 1
+        decision = self._decisions
         stack: List[Tuple[Tuple[Rec, ...], Iterator]] = []
-        pending = seq
+        pending, plan = seq, None
         while True:
             try:
-                canon = self._canonicalize(pending)
+                canon = self._canonicalize(pending, plan)
             except TransformPreconditionError:
                 verdict = False
             else:
                 verdict = self._memo.get(canon)
                 if verdict is None:
-                    step, outcome = rewrite(canon)
+                    rule, stored = self._rule_of(canon, decision)
+                    step, outcome = _apply(rule, canon)
                     if step is not None:
                         if not step.decreases():
-                            raise AssertionError(
+                            raise InvariantError(
                                 f"termination measure failed to decrease on {step.kind}: "
                                 f"{step.measure_before} -> {step.measure_after}"
                             )
@@ -268,12 +355,21 @@ class Engine:
                         if trace is not None:
                             trace.append(step)
                     verdict = outcome is not False
-                    stack.append((canon, iter(outcome if isinstance(outcome, tuple) else ())))
+                    if not isinstance(outcome, tuple):
+                        subs = iter(())
+                    elif stored is None:
+                        subs = zip(outcome, repeat(None))
+                    else:
+                        if stored[1] is None:
+                            stored[1] = tuple(map(_plan, outcome))
+                        subs = zip(outcome, stored[1])
+                    stack.append((canon, subs))
             # Hand the verdict up: open the next subproblem or close the frame.
             while stack:
                 canon, subs = stack[-1]
-                pending = next(subs, None) if verdict else None
-                if pending is not None:
+                sub = next(subs, None) if verdict else None
+                if sub is not None:
+                    pending, plan = sub
                     break
                 stack.pop()
                 self._memo[canon] = verdict

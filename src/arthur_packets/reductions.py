@@ -6,13 +6,14 @@ every piece is in good shape.  This module holds the pure record-level parts
 of those rewrites: the Expand amount, the Change-sign rule, and the
 termination measure with the step record that the engine checks on every
 rewrite.  Pull stays inside the engine, because it
-moves the pulled block through its fiber with ``transforms.transport``.
+moves the pulled block through its fiber with ``transforms.swap_along``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence, Tuple
 
+from .core import InvariantError
 from .transforms import Rec
 
 
@@ -31,7 +32,7 @@ def expand_amount(top: Rec, lower: Sequence[Rec]) -> int:
     """
     same_z = [rec[1] for rec in lower if rec[2] == top[2]]
     if any(tB >= top[1] for tB in same_z):
-        raise AssertionError(
+        raise InvariantError(
             "Expand site: a lower same-zeta block has B >= B of the top block"
         )
     if same_z:
@@ -51,7 +52,7 @@ def change_sign(rec: Rec) -> Tuple[str, Rec]:
     if tB == 0:
         return "ChangeSignIntegral", (tA, 0, -zeta, l, eta)
     if tB != 1:
-        raise AssertionError(f"Change-sign site: B must be 0 or 1/2, got 2B = {tB}")
+        raise InvariantError(f"Change-sign site: B must be 0 or 1/2, got 2B = {tB}")
     if 2 * l == (tA - tB) // 2 + 1:
         eta = -1
     if eta == 1:

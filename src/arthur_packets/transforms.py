@@ -11,7 +11,9 @@ two admissible orders (reorder).
 The pair formulas only depend on each block's A - B; helpers here take those
 integers directly.  ``swap_records`` applies them to fiber records, and
 ``transport`` sorts a fiber's records by swapping neighbours: the one way
-in which both the decision engine and ``reorder`` move (l, eta).
+in which both the decision engine and ``reorder`` move (l, eta).  It is
+``swap_along(recs, swap_schedule(keys))``: the swap positions depend on the
+keys alone, so a caller that sorts the same keys again can keep the schedule.
 ``reorder`` is the one Parameter-level transport: a single adjacent swap is
 ``reorder`` to the order with that pair exchanged.
 """
@@ -23,6 +25,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .core import (
     AdmissibleOrder,
     DataError,
+    InvariantError,
     Parameter,
     Sign,
     SignedData,
@@ -96,7 +99,7 @@ def s_plus_pair(
     new_e_small = _sgn_pow(d_big) * e_small
     out = (new_l_big, new_e_big, l_small, new_e_small)
     if not sub_condition_ok(d_big, d_small, *out):
-        raise AssertionError(
+        raise InvariantError(
             "s_plus output violates the contained-above necessary condition"
         )
     return out
@@ -127,7 +130,7 @@ def s_minus_pair(
         new_l_big = (d_big - d_small) - l_big + 2 * l_small
     out = (new_l_big, new_e_big, l_small, new_e_small)
     if not sup_condition_ok(d_big, d_small, *out):
-        raise AssertionError(
+        raise InvariantError(
             "s_minus output violates the container-above necessary condition"
         )
     return out
@@ -178,36 +181,55 @@ def swap_records(lower: Rec, upper: Rec) -> Tuple[Rec, Rec]:
     elif tB1 <= tB2 and tA1 >= tA2:
         l1, e1, l2, e2 = s_minus_pair(d1, d2, l1, e1, l2, e2)
     else:
-        raise AssertionError(
+        raise InvariantError(
             "unreachable: adjacent same-zeta pair neither nested nor allowed to swap"
         )
     return (tA2, tB2, z2, l2, e2), (tA1, tB1, z1, l1, e1)
 
 
-def transport(recs: Sequence[Rec], keys: Sequence) -> List[Rec]:
-    """Sort an ascending fiber's records by ``keys`` with adjacent swaps.
+def swap_schedule(keys: Sequence) -> List[int]:
+    """The adjacent swaps that sort ``keys`` stably, as positions in turn.
 
-    A bubble sort whose sweeps run bottom-up; records with equal keys never
-    swap, and each swap is ``swap_records``.  A sweep starts just below the
-    previous sweep's first swap and stops at its last one, which skips only
-    comparisons that cannot swap.  Raises TransformPreconditionError as
-    ``swap_records`` does.
+    A bubble sort whose sweeps run bottom-up; equal keys never swap.  A
+    sweep starts just below the previous sweep's first swap and stops at its
+    last one, which skips only comparisons that cannot swap.
     """
-    work, keys = list(recs), list(keys)
-    lo, hi = 0, len(work) - 1
+    keys = list(keys)
+    schedule: List[int] = []
+    lo, hi = 0, len(keys) - 1
     while lo < hi:
         first = last = None
         for i in range(lo, hi):
             if keys[i] > keys[i + 1]:
-                work[i], work[i + 1] = swap_records(work[i], work[i + 1])
                 keys[i], keys[i + 1] = keys[i + 1], keys[i]
+                schedule.append(i)
                 if first is None:
                     first = i
                 last = i
         if last is None:
             break
         lo, hi = max(first - 1, 0), last
+    return schedule
+
+
+def swap_along(recs: Sequence[Rec], schedule: Iterable[int]) -> List[Rec]:
+    """Apply ``swap_records`` at each position of ``schedule`` in turn.
+
+    Raises TransformPreconditionError as ``swap_records`` does.
+    """
+    work = list(recs)
+    for i in schedule:
+        work[i], work[i + 1] = swap_records(work[i], work[i + 1])
     return work
+
+
+def transport(recs: Sequence[Rec], keys: Sequence) -> List[Rec]:
+    """Sort an ascending fiber's records by ``keys`` with adjacent swaps.
+
+    Records with equal keys never swap, and each swap is ``swap_records``.
+    Raises TransformPreconditionError as ``swap_records`` does.
+    """
+    return swap_along(recs, swap_schedule(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +283,7 @@ def reorder(
         recs = transport(fiber_records(psi, below, l, eta), [target_rank[occ] for occ in below])
         # The transported records must sit on the target's blocks.
         if [rec[:3] for rec in recs] != [records[occ] for occ in want]:
-            raise AssertionError("reorder did not reach the target order")
+            raise InvariantError("reorder did not reach the target order")
         for occ, rec in zip(want, recs):
             l[occ], eta[occ] = rec[3], rec[4]
     return SignedData(tuple(l), tuple(eta))

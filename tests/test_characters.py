@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,14 +18,52 @@ from arthur_packets.core import (
     Parameter,
     RhoLabel,
     SignedData,
+    all_admissible_orders,
 )
 from arthur_packets.halfint import hi
+from arthur_packets.packets import candidates
+from test_acceptance import _random_parameter  # the criterion-5 generator
 
 RHO = RhoLabel("r", "orthogonal", 1)
 
 
 def blk(A, B, zeta, rho=RHO):
     return JordanBlock(rho, hi(A), hi(B), zeta)
+
+
+def _eps_product(psi, data):
+    prod = 1
+    for blk, l, eta in zip(psi.blocks, data.l, data.eta):
+        prod *= eps_l_eta(blk, l, eta)
+    return prod
+
+
+def test_quasisplit_ok_is_the_product_of_eps_l_eta():
+    # Golden: every grid point, with both etas at every block.
+    golden = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)))
+    options = [
+        [(l, eta) for l in range(b.l_max() + 1) for eta in (1, -1)] for b in golden.blocks
+    ]
+    grid = [SignedData(*zip(*point)) for point in itertools.product(*options)]
+    assert len(grid) == 6144
+    # The first 16 parameters criterion 5 tests: their canonical grids, at
+    # most about 2 000 evenly spaced points each.
+    cases = [(golden, grid)]
+    rng = random.Random(99)
+    while len(cases) < 17:
+        psi = _random_parameter(rng)
+        orders = all_admissible_orders(psi, limit=50)
+        if len(orders) < 3:
+            continue
+        rng.shuffle(orders)
+        points = candidates(psi)
+        cases.append((psi, points[:: len(points) // 2000 + 1]))
+    for psi, points in cases:
+        for data in points:
+            assert quasisplit_ok(psi, data) == (_eps_product(psi, data) == 1), (psi, data)
+    # The bounds are still checked.
+    with pytest.raises(DataError):
+        quasisplit_ok(golden, SignedData((16, 0, 0), (1, 1, 1)))
 
 
 def test_eps_l_eta_formula():

@@ -155,13 +155,21 @@ def test_recursion_limit_applies_with_jobs():
 
 def test_internal_error_exit_five(monkeypatch):
     # A failed engine invariant is not a verification mismatch (exit 1).
-    monkeypatch.setattr(ReductionStep, "decreases", lambda self: False)
-    res = runner.invoke(
-        main, ["decide", "--example", "moeglin-s8", "--l", "10,10,2", "--eta", "1,1,1"]
-    )
+    args = ["decide", "--example", "moeglin-s8", "--l", "10,10,2", "--eta", "1,1,1"]
+    with monkeypatch.context() as patch:
+        patch.setattr(ReductionStep, "decreases", lambda self: False)
+        res = runner.invoke(main, args)
     assert res.exit_code == 5, res.output
-    assert res.stderr.startswith("error: internal: AssertionError: termination measure")
+    assert res.stderr.startswith("error: invariant: termination measure")
     assert res.stderr.count("\n") == 1
+    # Any other unexpected exception names its type.
+    def broken(self):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(ReductionStep, "decreases", broken)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 5, res.output
+    assert res.stderr == "error: internal: ZeroDivisionError: boom\n"
 
 
 def _staircase_file(tmp_path, n):

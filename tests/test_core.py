@@ -1,3 +1,7 @@
+import itertools
+import random
+import time
+
 import pytest
 
 from arthur_packets.core import (
@@ -16,6 +20,7 @@ from arthur_packets.core import (
     parameter_to_json,
 )
 from arthur_packets.halfint import hi
+from test_acceptance import _random_parameter, _small_fiber_parameters
 
 RHO = RhoLabel("r", "orthogonal", 1)
 
@@ -143,6 +148,56 @@ def test_all_admissible_orders():
     assert len(all_admissible_orders(psi)) == 2
     psi = Parameter((blk(2, 1, 1), blk(4, 2, 1)))
     assert len(all_admissible_orders(psi)) == 1
+
+
+def _admissible_permutation(psi, perm):
+    """No block is strictly dominated by a later one of the same zeta."""
+    recs = [psi.records[i] for i in perm]
+    return not any(
+        lo[2] == up[2] and lo[0] > up[0] and lo[1] > up[1]
+        for k, up in enumerate(recs)
+        for lo in recs[k + 1 :]
+    )
+
+
+def _all_orders_reference(psi, limit=None):
+    """Every admissible order by filtering every permutation, as first written."""
+    per_fiber = [
+        [perm for perm in itertools.permutations(ix) if _admissible_permutation(psi, perm)]
+        for ix in psi.fibers().values()
+    ]
+    out = []
+    for combo in itertools.product(*per_fiber):
+        out.append(AdmissibleOrder(tuple(combo)))
+        if limit is not None and len(out) >= limit:
+            break
+    return out
+
+
+def test_all_admissible_orders_match_the_permutation_filter():
+    # Every single-fiber parameter of the 2-3 block sweep, and the first
+    # 2 000 draws of the criterion-5 generator (seed 99) with multifiber's limit.
+    for psi in _small_fiber_parameters():
+        assert all_admissible_orders(psi) == _all_orders_reference(psi)
+    rng = random.Random(99)
+    for _ in range(2000):
+        psi = _random_parameter(rng)
+        assert all_admissible_orders(psi, limit=50) == _all_orders_reference(psi, limit=50)
+
+
+def test_all_admissible_orders_stop_at_the_limit():
+    # 12 identical blocks have 12! orders, a strictly dominating chain of 12
+    # blocks only one; neither lists the permutations.
+    same = Parameter((blk(6, 2, 1),) * 12)
+    chain = Parameter(tuple(blk(i + 2, i, 1) for i in range(12)))
+    start = time.perf_counter()
+    assert [o.per_rho for o in all_admissible_orders(same, limit=3)] == [
+        (tuple(range(12)),),
+        (tuple(range(10)) + (11, 10),),
+        (tuple(range(9)) + (10, 9, 11),),
+    ]
+    assert [o.per_rho for o in all_admissible_orders(chain)] == [(tuple(range(11, -1, -1)),)]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_signed_data_bounds():

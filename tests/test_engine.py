@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,17 @@ from arthur_packets.core import (
     Parameter,
     RhoLabel,
     SignedData,
+    all_admissible_orders,
+    natural_order,
 )
 from arthur_packets.characters import quasisplit_ok
+from arthur_packets.crosscheck import compare_three_block, random_three_block_shapes
 from arthur_packets.engine import Engine, RecursionLimitError, _good_shape, basic_ok
 from arthur_packets.halfint import hi
 from arthur_packets.oracle import oracle_two_block
 from arthur_packets.packets import candidates, enumerate_packet
 from arthur_packets.transforms import fiber_records, sup_condition_ok
+from test_acceptance import _random_parameter  # the criterion-5 generator
 
 RHO = RhoLabel("r", "orthogonal", 1)
 
@@ -171,6 +176,79 @@ def test_memoization_is_consistent():
     first = eng.decide(psi, order, data).nonvanishing
     second = eng.decide(psi, order, data).nonvanishing
     assert first == second
+
+
+class _Recording(Engine):
+    """An engine that traces every decision and keeps its inputs and verdict."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def _decide_unchecked(self, psi, order, data, collect_trace=False):
+        verdict = super()._decide_unchecked(psi, order, data, True)
+        self.calls.append((psi, order, data, verdict))
+        return verdict
+
+
+def _assert_stored_rules_are_neutral(shared):
+    """Replay each of a warm engine's decisions on a fresh engine, which
+    never stores a rule: same verdicts; the fresh memos together are the
+    warm memo; the fresh traces together hold the warm traces' steps."""
+    memo, steps = {}, set()
+    for psi, order, data, verdict in shared.calls:
+        fresh = Engine()
+        replay = fresh._decide_unchecked(psi, order, data, True)
+        assert replay.nonvanishing == verdict.nonvanishing, (psi, order, data)
+        assert not fresh._rules
+        memo.update(fresh._memo)
+        steps.update(replay.trace)
+    warm_steps = [step for *_, verdict in shared.calls for step in verdict.trace]
+    assert len(set(warm_steps)) == len(warm_steps)
+    assert set(warm_steps) == steps
+    assert shared._memo == memo
+    # The warm engine did take subproblem plans from stored rules.
+    assert any(plans is not None for _, plans in shared._rules.values())
+
+
+def test_stored_rules_are_neutral_on_golden():
+    shared = _Recording()
+    psi, order = _golden()
+    assert len(enumerate_packet(psi, order, engine=shared)) == 1651
+    _assert_stored_rules_are_neutral(shared)
+
+
+def test_stored_rules_are_neutral_on_criterion_5_and_oracle_shapes():
+    # The first 16 criterion-5 parameters under three admissible orders each.
+    shared = _Recording()
+    rng = random.Random(99)
+    tested = 0
+    while tested < 16:
+        psi = _random_parameter(rng)
+        orders = all_admissible_orders(psi, limit=50)
+        if len(orders) < 3:
+            continue
+        tested += 1
+        rng.shuffle(orders)
+        for order in orders[:3]:
+            enumerate_packet(psi, order, engine=shared)
+    _assert_stored_rules_are_neutral(shared)
+    shared = _Recording()
+    for shape in random_three_block_shapes(50, 12, 3):
+        assert compare_three_block(*shape, engine=shared) == []
+    _assert_stored_rules_are_neutral(shared)
+
+
+def test_stored_rules_are_neutral_on_the_staircase():
+    # The 28-block chain A = i + 3, B = i with alternating zeta, under four
+    # l patterns, so that its skeletons come up in more than one decision.
+    n = 28
+    psi = Parameter(tuple(blk(i + 3, i, 1 if i % 2 == 0 else -1) for i in range(n)))
+    order = natural_order(psi)
+    shared = _Recording()
+    for l in ((2,) * n, (1,) * n, (2, 1) * (n // 2), (1, 2) * (n // 2)):
+        shared._decide_unchecked(psi, order, SignedData(l, (1,) * n))
+    _assert_stored_rules_are_neutral(shared)
 
 
 def test_far_away_shift_keeps_the_packet():

@@ -13,7 +13,7 @@ from arthur_packets.core import (
     is_admissible,
     natural_order,
 )
-from arthur_packets.engine import Engine
+from arthur_packets.engine import Engine, rewrite
 from arthur_packets.halfint import HalfInt
 from arthur_packets.packets import candidates, enumerate_packet, packet_size
 from arthur_packets.reductions import measure
@@ -185,3 +185,40 @@ def test_measure_matches_the_reference(recs):
     # Small coordinate ranges, so that ties on (2A, 2B) are common.
     recs = tuple((tA + tB, tB, zeta, l, eta) for tA, tB, zeta, l, eta in recs)
     assert measure(recs) == _measure_reference(recs)
+
+
+@st.composite
+def canonical_records(draw):
+    """2-5 records of one fiber in natural order, with criterion 5's
+    coordinate ranges and data within bounds."""
+    half = draw(st.sampled_from((0, 1)))
+    recs = []
+    for _ in range(draw(st.integers(2, 5))):
+        tB = 2 * draw(st.integers(0, 3)) + half
+        tA = tB + 2 * draw(st.integers(0, 4))
+        l = draw(st.integers(0, ((tA - tB) // 2 + 1) // 2))
+        recs.append((tA, tB, draw(st.sampled_from((1, -1))), l, draw(st.sampled_from((1, -1)))))
+    return sorted(recs, key=lambda rec: rec[:2])
+
+
+def _fresh_verdict(recs):
+    return Engine()._fiber_decide(recs, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_records())
+def test_rewrite_contract_on_random_fibers(recs):
+    # The shrinking form of test_reductions::test_rewrite_contract.  Sorted
+    # records need no swap; canonicalizing only sets the invisible etas.
+    canon = Engine._canonicalize(recs)
+    step, outcome = rewrite(canon)
+    if step is None:
+        assert _fresh_verdict(canon) == outcome
+        return
+    assert step.before == canon
+    conjunction = all(_fresh_verdict(sub) for sub in step.after)
+    # Only a Pull-equal step also asks the pair's basic condition.
+    assert _fresh_verdict(canon) == (outcome is not False and conjunction)
+    if step.kind != "PullEqual":
+        assert outcome == step.after
+    assert rewrite(step.before)[0] == step

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arthur_packets.core import (
     AdmissibleOrder,
@@ -12,7 +14,6 @@ from arthur_packets.core import (
     all_admissible_orders,
     natural_order,
 )
-from arthur_packets.engine import _moved
 from arthur_packets.halfint import hi
 from arthur_packets.transforms import (
     TransformPreconditionError,
@@ -24,6 +25,7 @@ from arthur_packets.transforms import (
     sub_condition_ok,
     sup_condition_ok,
     swap_records,
+    swap_schedule,
     transport,
     u_pair,
 )
@@ -171,16 +173,17 @@ def test_transport_one_record_moves_match_successive_swaps():
         recs = _nested_records(rng, n)
         q = rng.randrange(n - 1)
         # Record q up to position n - 2 (Pull), and the top record down to 0
-        # (Change sign).
+        # (Change sign): the engine's rules swap at exactly these positions.
         up_keys = list(range(n))
         up_keys[q], up_keys[-1] = n - 1, n
         down_keys = list(range(n))
         down_keys[-1] = -1
         cases = (
-            ("up", up_keys, (q, n - 2), range(q, n - 2)),
-            ("down", down_keys, (n - 1, 0), range(n - 2, -1, -1)),
+            ("up", up_keys, range(q, n - 2)),
+            ("down", down_keys, range(n - 2, -1, -1)),
         )
-        for name, keys, (src, dst), positions in cases:
+        for name, keys, positions in cases:
+            assert swap_schedule(keys) == list(positions)
             try:
                 want = _swapped_in_turn(recs, positions)
             except TransformPreconditionError:
@@ -188,8 +191,46 @@ def test_transport_one_record_moves_match_successive_swaps():
                     transport(recs, keys)
                 continue
             assert transport(recs, keys) == want
-            assert _moved(recs, src, dst) == want  # the engine's own keys
             moved[name] += 1
+
+
+def _bubble_transport(recs, keys):
+    """The bubble-sort transport as first written, swapping while it sorts."""
+    work, keys = list(recs), list(keys)
+    lo, hi = 0, len(work) - 1
+    while lo < hi:
+        first = last = None
+        for i in range(lo, hi):
+            if keys[i] > keys[i + 1]:
+                work[i], work[i + 1] = swap_records(work[i], work[i + 1])
+                keys[i], keys[i + 1] = keys[i + 1], keys[i]
+                if first is None:
+                    first = i
+                last = i
+        if last is None:
+            break
+        lo, hi = max(first - 1, 0), last
+    return work
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=8), st.integers(0, 2**32 - 1))
+def test_swap_schedule_sorts_stably_and_transport_matches_the_reference(keys, seed):
+    # As plain swaps, the schedule is a stable sort of the keys.
+    order = list(range(len(keys)))
+    for i in swap_schedule(keys):
+        assert keys[order[i]] > keys[order[i + 1]]
+        order[i], order[i + 1] = order[i + 1], order[i]
+    assert order == sorted(range(len(keys)), key=keys.__getitem__)
+    # On records, transport swaps as the reference loop does, or raises as it does.
+    recs = _nested_records(random.Random(seed), len(keys))
+    try:
+        want = _bubble_transport(recs, keys)
+    except TransformPreconditionError:
+        with pytest.raises(TransformPreconditionError):
+            transport(recs, keys)
+        return
+    assert transport(recs, keys) == want
 
 
 def test_transport_never_swaps_equal_keys():
