@@ -5,8 +5,9 @@ by B), transporting (l, eta) with ``transforms.transport``.  The pure kernel
 ``rewrite`` maps a canonical fiber to a verdict or to the subproblems of one
 step; the only rewrites are Pull, Expand and Change sign.  Which rewrite
 applies, and where, depends only on the fiber's skeleton (tA, tB, zeta), so
-``rewrite(seq) = _apply(_rule(skeleton), seq)``: ``_rule`` decides the
-skeleton's half once, and ``_apply`` runs every data check on the records.
+``rewrite(seq) = _apply(_rule(seq), seq)``: ``_rule`` decides the
+skeleton's half, reading only (tA, tB, zeta), and ``_apply`` runs every data
+check on the records.
 ``Engine`` walks that conjunction tree on an explicit stack, memoizing every
 verdict, until every remaining piece is in good shape.  Good shape is a stop
 rule: its pair chunks are adjacent same-zeta pairs, whose basic condition the
@@ -142,9 +143,10 @@ if TYPE_CHECKING:
     Plan = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
 
-def _rule(skeleton: Skeleton) -> Rule:
-    """The rule of a canonical skeleton: everything a rewrite decides
-    without looking at (l, eta), as ``(checks, kind, arg)``.
+def _rule(fiber: Sequence[Rec]) -> Rule:
+    """The rule of a canonical fiber: everything a rewrite decides without
+    looking at (l, eta), as ``(checks, kind, arg)``.  It reads only the
+    (2A, 2B, zeta) of each record, so it is a function of the skeleton.
 
     ``checks`` lists the fast fail's adjacent same-zeta pairs in turn, as
     ``(i, basic, d_up, d_lo)``: ``basic_ok`` when the upper block's B is not
@@ -153,35 +155,42 @@ def _rule(skeleton: Skeleton) -> Rule:
     ``Expand``, ``ChangeSign`` or ``Invariant``; ``arg`` is the swap
     positions, the Expand amount, or the failed site's message.
     """
-    n = len(skeleton)
+    n = len(fiber)
     checks = []
     for i in range(n - 1):
-        lo, up = skeleton[i], skeleton[i + 1]
+        lo, up = fiber[i], fiber[i + 1]
         if lo[2] == up[2]:
             checks.append((i, up[1] >= lo[1], (up[0] - up[1]) // 2, (lo[0] - lo[1]) // 2))
     # Every pair chunk is an adjacent same-zeta comparable pair: checked by
     # the fast fail.
-    if _good_shape(skeleton):
+    if _good_shape(fiber):
         return (checks, "Good", None)
 
-    P = skeleton[-1]
-    top_a, top_b, top_z = P
+    P = fiber[-1]
+    top_a, top_b, top_z = P[:3]
     # The lower same-zeta blocks whose interval P strictly contains.
     pull = [
         i
-        for i, (tA, tB, zeta) in enumerate(skeleton[:-1])
-        if zeta == top_z and tB >= top_b and tA <= top_a and (tB > top_b or tA < top_a)
+        for i, rec in enumerate(fiber[:-1])
+        if rec[2] == top_z
+        and rec[1] >= top_b
+        and rec[0] <= top_a
+        and (rec[1] > top_b or rec[0] < top_a)
     ]
     if pull:
         # The greatest contained block moves up to just below P.
-        q = max(pull, key=lambda i: (skeleton[i][0], skeleton[i][1], i))
+        q = max(pull, key=lambda i: (fiber[i][0], fiber[i][1], i))
         return (checks, "PullUnequal", range(q, n - 2))
-    equal = [i for i in range(n - 1) if skeleton[i] == P]
+    equal = [
+        i
+        for i, rec in enumerate(fiber[:-1])
+        if rec[0] == top_a and rec[1] == top_b and rec[2] == top_z
+    ]
     if equal:
         # Blocks between equal-interval partners share the key and have the
         # opposite zeta, so these are all U-swaps.
         return (checks, "PullEqual", range(max(equal), n - 2))
-    rest = skeleton[:-1]
+    rest = fiber[:-1]
     # A site that fails is raised only once the fast fail has passed.
     try:
         t = expand_amount(P, rest)
@@ -246,7 +255,7 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
     is the verdict; only a Pull-equal step whose basic condition fails
     returns its step and False.
     """
-    return _apply(_rule(tuple(rec[:3] for rec in seq)), seq)
+    return _apply(_rule(seq), seq)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +314,21 @@ class Engine:
         return tuple(work)
 
     def _rule_of(self, canon: Tuple[Rec, ...], decision: int):
-        """The rule of a canonical fiber's skeleton and its stored entry, if any.
+        """The rule of a canonical fiber and its stored entry, if any.
 
         A skeleton whose hash first came up in this decision has no stored
         rule; one seen in an earlier decision has its rule stored now.
+        Nothing is stored in an engine's first decision, so its skeletons
+        are recorded only when a second decision starts.
         """
+        if decision == 1:
+            return _rule(canon), None
         skeleton = tuple([rec[:3] for rec in canon])
         if self._first_seen.setdefault(hash(skeleton), decision) == decision:
-            return _rule(skeleton), None
+            return _rule(canon), None
         stored = self._rules.get(skeleton)
         if stored is None:
-            stored = self._rules[skeleton] = [_rule(skeleton), None]
+            stored = self._rules[skeleton] = [_rule(canon), None]
         return stored[0], stored
 
     # -- fiber decision ---------------------------------------------------
@@ -329,6 +342,10 @@ class Engine:
         """
         self._decisions += 1
         decision = self._decisions
+        if decision == 2:
+            # The first decision applied a rule to every fiber it memoized.
+            for canon in self._memo:
+                self._first_seen.setdefault(hash(tuple([rec[:3] for rec in canon])), 1)
         stack: List[Tuple[Tuple[Rec, ...], Iterator]] = []
         pending, plan = seq, None
         while True:

@@ -248,6 +248,8 @@ def test_stored_rules_are_neutral_on_the_staircase():
     shared = _Recording()
     for l in ((2,) * n, (1,) * n, (2, 1) * (n // 2), (1, 2) * (n // 2)):
         shared._decide_unchecked(psi, order, SignedData(l, (1,) * n))
+        # A skeleton of the first decision that recurs in the second is stored.
+        assert bool(shared._rules) == (len(shared.calls) > 1)
     _assert_stored_rules_are_neutral(shared)
 
 
