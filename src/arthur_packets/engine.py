@@ -9,7 +9,8 @@ applies, and where, depends only on the fiber's skeleton (tA, tB, zeta), so
 skeleton's half, reading only (tA, tB, zeta), and ``_apply`` runs every data
 check on the records.
 ``Engine`` walks that conjunction tree on an explicit stack, memoizing every
-verdict, until every remaining piece is in good shape.  Good shape is a stop
+verdict, until every remaining piece is in good shape; after its first
+decision it computes each skeleton's rule once.  Good shape is a stop
 rule: its pair chunks are adjacent same-zeta pairs, whose basic condition the
 kernel's fast fail has already checked.
 
@@ -274,11 +275,11 @@ def _plan(recs: Sequence[Rec]) -> Plan:
 class Engine:
     """Decides fibers, memoizing every verdict by canonical fiber.
 
-    A rule is a pure function of the canonical skeleton, so an engine keeps
-    the rules of the skeletons that come up again in a later top-level
-    decision, each with its subproblems' plans (their skeletons follow from
-    the parent's).  A skeleton seen in one decision only is not kept: on
-    inputs without reuse the rules would only cost memory.
+    A rule is a pure function of the canonical skeleton, so from its second
+    top-level decision on an engine stores every rule it computes, each with
+    its subproblems' plans (their skeletons follow from the parent's).  Its
+    first decision stores none: an engine that decides one fiber would only
+    pay for them in memory.
     """
 
     def __init__(self, recursion_limit: int = 10000):
@@ -287,7 +288,6 @@ class Engine:
         self._steps = 0
         # skeleton -> [rule, subproblem plans or None until first emitted]
         self._rules: Dict[Skeleton, list] = {}
-        self._first_seen: Dict[int, int] = {}  # hash(skeleton) -> decision number
         self._decisions = 0
 
     # -- fiber normalization ---------------------------------------------
@@ -313,19 +313,15 @@ class Engine:
                     work[i] = (rec[0], rec[1], rec[2], l, 1)
         return tuple(work)
 
-    def _rule_of(self, canon: Tuple[Rec, ...], decision: int):
+    def _rule_of(self, canon: Tuple[Rec, ...]):
         """The rule of a canonical fiber and its stored entry, if any.
 
-        A skeleton whose hash first came up in this decision has no stored
-        rule; one seen in an earlier decision has its rule stored now.
-        Nothing is stored in an engine's first decision, so its skeletons
-        are recorded only when a second decision starts.
+        Nothing is stored in an engine's first decision; after it, each
+        skeleton's rule is computed once and stored.
         """
-        if decision == 1:
+        if self._decisions == 1:
             return _rule(canon), None
         skeleton = tuple([rec[:3] for rec in canon])
-        if self._first_seen.setdefault(hash(skeleton), decision) == decision:
-            return _rule(canon), None
         stored = self._rules.get(skeleton)
         if stored is None:
             stored = self._rules[skeleton] = [_rule(canon), None]
@@ -341,11 +337,6 @@ class Engine:
         the steps this walk takes.
         """
         self._decisions += 1
-        decision = self._decisions
-        if decision == 2:
-            # The first decision applied a rule to every fiber it memoized.
-            for canon in self._memo:
-                self._first_seen.setdefault(hash(tuple([rec[:3] for rec in canon])), 1)
         stack: List[Tuple[Tuple[Rec, ...], Iterator]] = []
         pending, plan = seq, None
         while True:
@@ -356,7 +347,7 @@ class Engine:
             else:
                 verdict = self._memo.get(canon)
                 if verdict is None:
-                    rule, stored = self._rule_of(canon, decision)
+                    rule, stored = self._rule_of(canon)
                     step, outcome = _apply(rule, canon)
                     if step is not None:
                         if not step.decreases():

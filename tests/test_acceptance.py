@@ -318,30 +318,32 @@ def test_criterion_5_order_invariance_and_reorder_bijectivity():
     assert tested >= 100
 
 
-def _small_fiber_parameters():
-    """Every single-fiber parameter of 2-3 blocks with 2A <= 6 on the
-    integral lattice and 2A <= 7 on the half-integral one, as a multiset."""
-    for half, top in ((0, 6), (1, 7)):
+def _small_fiber_parameters(sizes=(2, 3), tops=(6, 7)):
+    """Every single-fiber parameter with a number of blocks in ``sizes`` and
+    2A <= tops[0] on the integral lattice, 2A <= tops[1] on the
+    half-integral one, as a multiset; by default 2-3 blocks, 2A <= 6 (7)."""
+    for half, top in zip((0, 1), tops):
         blocks = [
             JordanBlock(RHO, HalfInt(tA), HalfInt(tB), zeta)
             for tA in range(half, top + 1, 2)
             for tB in range(half, tA + 1, 2)
             for zeta in (1, -1)
         ]
-        for n in (2, 3):
+        for n in sizes:
             for combo in itertools.combinations_with_replacement(blocks, n):
                 yield Parameter(combo)
 
 
-def test_order_invariance_bounded_exhaustive():
-    # The bound keeps the sweep to a few seconds; every order of every
-    # parameter in it is checked, against the first order.
-    parameters = orders_checked = 0
-    for psi in _small_fiber_parameters():
+def _check_order_invariance(parameters):
+    """Check every order of every parameter with at least two against the
+    first order: same packet size, and ``reorder`` maps packet to packet.
+    Returns the numbers of parameters and of orders checked."""
+    checked = orders_checked = 0
+    for psi in parameters:
         orders = all_admissible_orders(psi)
         if len(orders) < 2:
             continue
-        parameters += 1
+        checked += 1
         engine = Engine()
         first = enumerate_packet(psi, orders[0], engine=engine)
         for order in orders:
@@ -350,7 +352,13 @@ def test_order_invariance_bounded_exhaustive():
             image = {sigma0_canonical(psi, reorder(psi, orders[0], order, d)) for d in first}
             assert image == {sigma0_canonical(psi, d) for d in pack}, (psi, order)
             orders_checked += 1
-    assert (parameters, orders_checked) == (3380, 14672)
+    return checked, orders_checked
+
+
+def test_order_invariance_bounded_exhaustive():
+    # The bound keeps the sweep to a few seconds; CI also runs 4 blocks with
+    # 2A <= 4 (2A <= 5).
+    assert _check_order_invariance(_small_fiber_parameters()) == (3380, 14672)
 
 
 def _candidate_filter(psi, order):
@@ -401,7 +409,7 @@ def test_fiber_plan_matches_the_candidate_filter():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 6: character identity under an elementary opposite-zeta swap
+# Criterion 6: character identity under reorder
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_character_identity_elementary_swap():
@@ -431,6 +439,30 @@ def test_criterion_6_character_identity_elementary_swap():
         c2, _ = translate_M_to_W(psi, order2, data2)
         assert c1.values == c2.values, (tC1, tC2, z2, data)
     assert lattices == {0, 1}  # both integral and half-integral branches hit
+
+
+def test_criterion_6_character_identity_under_reorder():
+    # The first 20 criterion-5 parameters with two admissible orders: every
+    # member of the packet under the first order has the character of its
+    # reorder image under the second.
+    rng = random.Random(99)
+    tested = members = two_fiber = 0
+    lattices = set()
+    while tested < 20:
+        psi = _random_parameter(rng)
+        orders = all_admissible_orders(psi, limit=50)
+        if len(orders) < 2:
+            continue
+        tested += 1
+        o1, o2 = orders[:2]
+        two_fiber += len(psi.fibers()) == 2
+        lattices |= {block.B.twice % 2 for block in psi.blocks}
+        for data in enumerate_packet(psi, o1):
+            c1, _ = translate_M_to_W(psi, o1, data)
+            c2, _ = translate_M_to_W(psi, o2, reorder(psi, o1, o2, data))
+            assert c1.values == c2.values, (psi, o1, o2, data)
+            members += 1
+    assert (members, two_fiber, lattices) == (8561, 9, {0, 1})
 
 
 # ---------------------------------------------------------------------------

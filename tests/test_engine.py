@@ -17,6 +17,7 @@ from arthur_packets.core import (
     all_admissible_orders,
     natural_order,
 )
+from arthur_packets import engine as engine_module
 from arthur_packets.characters import quasisplit_ok
 from arthur_packets.crosscheck import compare_three_block, random_three_block_shapes
 from arthur_packets.engine import Engine, RecursionLimitError, _good_shape, basic_ok
@@ -239,6 +240,31 @@ def test_stored_rules_are_neutral_on_criterion_5_and_oracle_shapes():
     _assert_stored_rules_are_neutral(shared)
 
 
+def test_each_rule_is_computed_once_after_the_first_decision(monkeypatch):
+    # From an engine's second fiber decision on, every rule it computes is
+    # stored, so no skeleton's rule is computed twice.
+    rule = engine_module._rule
+
+    def oracle_shapes(engine):
+        for shape in random_three_block_shapes(50, 12, 3):
+            assert compare_three_block(*shape, engine=engine) == []
+
+    def golden(engine):
+        assert len(enumerate_packet(*_golden(), engine=engine)) == 1651
+
+    for run in (oracle_shapes, golden):
+        shared, calls = Engine(), []
+
+        def counted(fiber):
+            if shared._decisions > 1:
+                calls.append(fiber)
+            return rule(fiber)
+
+        monkeypatch.setattr(engine_module, "_rule", counted)
+        run(shared)
+        assert len(calls) == len(shared._rules) > 0, run.__name__
+
+
 def test_stored_rules_are_neutral_on_the_staircase():
     # The 28-block chain A = i + 3, B = i with alternating zeta, under four
     # l patterns, so that its skeletons come up in more than one decision.
@@ -248,7 +274,7 @@ def test_stored_rules_are_neutral_on_the_staircase():
     shared = _Recording()
     for l in ((2,) * n, (1,) * n, (2, 1) * (n // 2), (1, 2) * (n // 2)):
         shared._decide_unchecked(psi, order, SignedData(l, (1,) * n))
-        # A skeleton of the first decision that recurs in the second is stored.
+        # Rules are stored from the second decision on.
         assert bool(shared._rules) == (len(shared.calls) > 1)
     _assert_stored_rules_are_neutral(shared)
 

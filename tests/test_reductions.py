@@ -12,7 +12,7 @@ from arthur_packets.core import (
     SignedData,
     natural_order,
 )
-from arthur_packets.engine import Engine, rewrite
+from arthur_packets.engine import Engine, basic_ok, rewrite
 from arthur_packets.halfint import HalfInt, hi
 from arthur_packets.packets import candidates
 from arthur_packets.reductions import (
@@ -215,7 +215,8 @@ def _verdict(recs):
 
 def test_rewrite_contract():
     # Every recorded step: the verdict on its input is the conjunction of the
-    # verdicts on its subproblems, each decided by a fresh engine; and the
+    # verdicts on its subproblems, each decided by a fresh engine, and for a
+    # Pull-equal step also the basic condition of the pulled pair; and the
     # kernel alone, without engine state, reproduces the step from its input.
     psi = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)), group_kind="Sp-even")
     order = AdmissibleOrder(((0, 1, 2),))
@@ -225,9 +226,22 @@ def test_rewrite_contract():
         if i % 17 == 0 and quasisplit_ok(psi, data):
             steps.extend(eng.decide(psi, order, data, collect_trace=True).trace)
     steps.extend(_random_fiber_steps())
+    # Vanishing, with one Pull-equal step whose two subproblems both hold.
+    half = "1/2"
+    (witness,) = _trace(
+        (blk(half, half, 1), blk(half, half, -1), blk(half, half, 1)), (0, 0, 0), (1, 1, 1)
+    )
+    assert witness.kind == "PullEqual" and all(_verdict(sub) for sub in witness.after)
+    assert not _verdict(witness.before)
+    steps.append(witness)
     kinds = set()
     for step in steps:
         kinds.add(step.kind)
-        assert _verdict(step.before) == all(_verdict(sub) for sub in step.after), step
+        holds = all(_verdict(sub) for sub in step.after)
+        if step.kind == "PullEqual":
+            # The pulled partner ends the longer subproblem; the top block
+            # does not move.
+            holds = holds and basic_ok(step.after[-1][-1], step.before[-1])
+        assert _verdict(step.before) == holds, step
         assert rewrite(step.before)[0] == step
     assert kinds == {"PullUnequal", "PullEqual", "Expand", "ChangeSignIntegral", "ChangeSignHalf"}
