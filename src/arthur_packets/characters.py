@@ -25,27 +25,26 @@ class Character:
         return Character(tuple(a * b for a, b in zip(self.values, other.values)))
 
 
+def _eps(d: int, l: int, eta: Sign) -> Sign:
+    """eta^(d+1) * (-1)^(floor((d+1)/2) + l) for a block with A - B = d."""
+    flips = (d + 1) // 2 + l + (eta == -1 and d % 2 == 0)
+    return -1 if flips % 2 else 1
+
+
 def eps_l_eta(block: JordanBlock, l: int, eta: Sign) -> Sign:
     """eta^(A-B+1) * (-1)^(floor((A-B+1)/2) + l)."""
     if not (0 <= l <= block.l_max()):
         raise DataError(f"l={l} out of range [0, {block.l_max()}]")
-    d = block.d
-    value = eta if (d + 1) % 2 else 1
-    value *= -1 if ((d + 1) // 2 + l) % 2 else 1
-    return value
+    return _eps(block.d, l, eta)
 
 
 def quasisplit_ok(psi: Parameter, data: SignedData) -> bool:
-    """True iff the product of eps_l_eta over all block occurrences is +1.
-
-    Counts the -1 factors of each eps_l_eta directly from the int records.
-    """
+    """True iff the product of eps_l_eta over all block occurrences is +1."""
     data.check_bounds(psi)
-    flips = 0
+    product = 1
     for (tA, tB, _), l, eta in zip(psi.records, data.l, data.eta):
-        d = (tA - tB) // 2
-        flips += (d + 1) // 2 + l + (eta == -1 and d % 2 == 0)
-    return flips % 2 == 0
+        product *= _eps((tA - tB) // 2, l, eta)
+    return product == 1
 
 
 def _pair_counted(abz1, abz2, gt12: bool) -> bool:

@@ -219,8 +219,11 @@ class SignedData:
         object.__setattr__(self, "eta", tuple(self.eta))
         if len(self.l) != len(self.eta):
             raise DataError("l and eta must have the same length")
+        # Records are built from these, so 9.5, 1.0 or True must not pass.
+        if not all(map(_is_int, self.l)):
+            raise DataError(f"l entries must be integers, got {self.l!r}")
         for e in self.eta:
-            if e not in (1, -1):
+            if not (_is_int(e) and e in (1, -1)):
                 raise DataError(f"eta entries must be +1/-1, got {e!r}")
 
     def check_bounds(self, psi: Parameter) -> None:

@@ -1,11 +1,12 @@
-"""Differential check of the engine against the three-block closed form.
+"""Differential check of the packet plan against the three-block closed form.
 
 The three-block family (integral coordinates, zeta pattern (+1, -1, +1),
 ascending A and B chains) has an independent closed-form classification in
 ``oracle``.  ``three_block_parameter`` and ``three_block_shape`` convert
 between a shape ``(A1, B1, A2, B2, A3, B3)`` and the parameter it describes;
-``compare_three_block`` diffs the engine against the oracle over the shape's
-full ``(l, eta)`` grid.  The oracle itself imports nothing from this package.
+``compare_three_block`` diffs the packet plan against the oracle over the
+shape's full ``(l, eta)`` grid.  The oracle itself imports nothing from this
+package.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .core import AdmissibleOrder, DataError, JordanBlock, Parameter, RhoLabel, SignedData
+from .core import AdmissibleOrder, DataError, JordanBlock, Parameter, RhoLabel
 from .engine import Engine
 from .halfint import hi
 from .oracle import oracle_three_block, three_block_grid
+from .packets import enumerate_packet
 
 
 def three_block_parameter(A1, B1, A2, B2, A3, B3) -> Tuple[Parameter, AdmissibleOrder]:
@@ -57,22 +59,24 @@ def three_block_shape(psi: Parameter) -> Tuple[int, ...]:
 
 
 def compare_three_block(A1, B1, A2, B2, A3, B3, engine: Optional[Engine] = None):
-    """Full-grid oracle/engine comparison; returns the list of mismatches."""
-    from .characters import quasisplit_ok
+    """Full-grid oracle/packet comparison; returns the list of mismatches.
 
+    Each grid point's oracle verdict is compared with whether its canonical
+    representative (eta = +1 where 2l = A - B + 1) is a member of
+    ``enumerate_packet``, so the check runs the packet plan's own filters.
+    """
     psi, order = three_block_parameter(A1, B1, A2, B2, A3, B3)
-    engine = engine or Engine()
+    members = {(d.l, d.eta) for d in enumerate_packet(psi, order, engine=engine)}
+    twice_free = [A - B + 1 for A, B in ((A3, B3), (A2, B2), (A1, B1))]
     mismatches = []
-    for l1, e1, l2, e2, l3, e3 in three_block_grid(A1, B1, A2, B2, A3, B3):
-        want = oracle_three_block(A1, B1, A2, B2, A3, B3, l1, e1, l2, e2, l3, e3)
-        data = SignedData((l3, l2, l1), (e3, e2, e1))
-        if not quasisplit_ok(psi, data):
-            if want:
-                mismatches.append(((l1, e1, l2, e2, l3, e3), want, "non-quasisplit"))
-            continue
-        got = engine._decide_unchecked(psi, order, data).nonvanishing
+    for point in three_block_grid(A1, B1, A2, B2, A3, B3):
+        l1, e1, l2, e2, l3, e3 = point
+        want = oracle_three_block(A1, B1, A2, B2, A3, B3, *point)
+        l = (l3, l2, l1)
+        eta = tuple(1 if 2 * li == f else e for li, f, e in zip(l, twice_free, (e3, e2, e1)))
+        got = (l, eta) in members
         if got != want:
-            mismatches.append(((l1, e1, l2, e2, l3, e3), want, got))
+            mismatches.append((point, want, got))
     return mismatches
 
 

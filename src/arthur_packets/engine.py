@@ -16,6 +16,8 @@ kernel's fast fail has already checked.
 
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
+``decide`` validates its ``(psi, order, data)`` and builds those records;
+``_decide_unchecked`` takes them directly, as the packet plan does.
 """
 
 from __future__ import annotations
@@ -398,20 +400,15 @@ class Engine:
             raise DataError("order is not admissible")
         if not quasisplit_ok(psi, data):
             raise DataError("data violates the quasisplit product constraint")
-        return self._decide_unchecked(psi, order, data, collect_trace)
+        fibers = [fiber_records(psi, reversed(f), data.l, data.eta) for f in order._fibers]
+        return self._decide_unchecked(fibers, collect_trace)
 
     def _decide_unchecked(
-        self,
-        psi: Parameter,
-        order: AdmissibleOrder,
-        data: SignedData,
-        collect_trace: bool = False,
+        self, fibers: Sequence[Sequence[Rec]], collect_trace: bool = False
     ) -> Verdict:
+        """The conjunction of the fibers' verdicts, each fiber given as its
+        records in ascending order; nothing is validated here."""
         trace: Optional[list] = [] if collect_trace else None
         self._steps = 0
-        ok = all(
-            self._fiber_decide(fiber_records(psi, reversed(fiber), data.l, data.eta), trace)
-            for fiber in order._fibers
-        )
+        ok = all(self._fiber_decide(recs, trace) for recs in fibers)
         return Verdict(ok, tuple(trace) if trace is not None else ())
-

@@ -5,13 +5,13 @@ equivalence (canonical representative: eta = +1 at every block where
 l = (A - B + 1) / 2); ``candidates`` lists it.  A packet is not found by
 filtering that grid point by point: the verdict on (l, eta) is the
 conjunction of independent per-fiber verdicts, and the quasisplit constraint
-asks the product of the per-block signs eps_l_eta to be +1.  So ``_plan``
-compiles each fiber of the order once, as a one-fiber parameter with its
-part of the grid and each choice's sign, and decides every needed fiber
-choice once with ``Engine._decide_unchecked`` (one ``_fiber_decide`` walk,
-with its own step budget).  ``enumerate_packet`` is the product of the
-per-fiber member lists with sign product +1, sorted for determinism;
-``packet_size`` only counts those products by sign.
+asks the product of the per-block signs to be +1.  So ``_plan`` compiles each
+fiber of the order once, as a record template with its part of the grid and
+each choice's sign, and decides every needed fiber choice once with
+``Engine._decide_unchecked`` (one ``_fiber_decide`` walk, with its own step
+budget).  ``enumerate_packet`` is the product of the per-fiber member lists
+with sign product +1, sorted for determinism; ``packet_size`` only counts
+those products by sign.  This plan is the library's one member filter.
 """
 
 from __future__ import annotations
@@ -19,41 +19,33 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .characters import eps_l_eta
-from .core import (
-    AdmissibleOrder,
-    DataError,
-    JordanBlock,
-    Parameter,
-    Sign,
-    SignedData,
-    is_admissible,
-    natural_order,
-)
+from .characters import _eps
+from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible, natural_order
 from .engine import Engine
 
-# A fiber choice: the sign product of its blocks and its data on the fiber's
-# own parameter.
-Choice = Tuple[int, SignedData]
+# A fiber choice: the sign product of its blocks, then its l and eta on the
+# fiber's occurrences in ascending index order.
+Choice = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+# A fiber's records in ascending order of the fiber order, each as the
+# position of its (l, eta) in a choice and its (2A, 2B, zeta).
+Template = Tuple[Tuple[int, Tuple[int, int, int]], ...]
 
 
-def _options(blk: JordanBlock) -> List[Tuple[int, Sign, Sign]]:
-    """The block's canonical (l, eta) options, each with its sign eps_l_eta."""
-    return [
-        (l, eta, eps_l_eta(blk, l, eta))
-        for l in range(blk.l_max() + 1)
-        for eta in ((1,) if blk.eta_is_free_at(l) else (1, -1))
-    ]
-
-
-def _choices(blocks: Sequence[JordanBlock]) -> List[Choice]:
-    """The canonical grid of ``blocks``, each point with its sign product."""
+def _choices(records: Sequence[Tuple[int, int, int]]) -> List[Choice]:
+    """The canonical grid of blocks with these (2A, 2B, zeta), each point
+    with its sign product."""
     rows = [(1, (), ())]  # (sign, l, eta) over the blocks so far
-    for options in map(_options, blocks):
+    for tA, tB, _ in records:
+        d = (tA - tB) // 2
+        options = [
+            (l, eta, _eps(d, l, eta))
+            for l in range((d + 1) // 2 + 1)
+            for eta in ((1,) if 2 * l == d + 1 else (1, -1))
+        ]
         rows = [
             (s * sign, l + (li,), eta + (e,)) for s, l, eta in rows for li, e, sign in options
         ]
-    return [(s, SignedData(l, eta)) for s, l, eta in rows]
+    return rows
 
 
 def candidates(psi: Parameter) -> List[SignedData]:
@@ -62,41 +54,42 @@ def candidates(psi: Parameter) -> List[SignedData]:
     The packet plan does not list it; it is the reference for tests and tools
     that check the plan point by point.
     """
-    return [data for _, data in _choices(psi.blocks)]
+    return [SignedData(l, eta) for _, l, eta in _choices(psi.records)]
 
 
 class _Fiber(NamedTuple):
-    """One fiber of the order as a parameter of its own."""
+    """One fiber of the order, compiled."""
 
     occurrences: Tuple[int, ...]  # ascending occurrence indices in psi
-    psi: Parameter  # the fiber's blocks, in that order
-    order: AdmissibleOrder  # the fiber's order on the indices of ``psi``
+    template: Template  # its records in the fiber order, ascending
     choices: List[Choice]  # its part of the canonical grid, with signs
 
 
 def _fiber(psi: Parameter, fiber: Tuple[int, ...]) -> _Fiber:
     """Compile one fiber order (occurrences listed greatest first)."""
     occurrences = tuple(sorted(fiber))
-    local = {occ: i for i, occ in enumerate(occurrences)}
-    blocks = [psi.blocks[i] for i in occurrences]
+    position = {occ: i for i, occ in enumerate(occurrences)}
+    records = psi.records
     return _Fiber(
         occurrences,
-        Parameter(tuple(blocks)),
-        AdmissibleOrder((tuple(local[occ] for occ in fiber),)),
-        _choices(blocks),
+        tuple((position[occ], records[occ]) for occ in reversed(fiber)),
+        _choices([records[occ] for occ in occurrences]),
     )
 
 
-def _fiber_members(
-    psi: Parameter, order: AdmissibleOrder, choices: List[Choice], engine: Engine
-) -> List[Choice]:
-    """The choices of a one-fiber parameter that are nonvanishing."""
-    return [c for c in choices if engine._decide_unchecked(psi, order, c[1]).nonvanishing]
+def _fiber_members(template: Template, choices: List[Choice], engine: Engine) -> List[Choice]:
+    """The choices on a fiber's template that are nonvanishing."""
+    decide = engine._decide_unchecked
+    return [
+        c
+        for c in choices
+        if decide(([rec + (c[1][i], c[2][i]) for i, rec in template],)).nonvanishing
+    ]
 
 
 def _eval_chunk(args):
-    psi, order, chunk, recursion_limit = args
-    return _fiber_members(psi, order, chunk, Engine(recursion_limit))
+    template, chunk, recursion_limit = args
+    return _fiber_members(template, chunk, Engine(recursion_limit))
 
 
 def _plan(
@@ -131,16 +124,16 @@ def _plan(
             wanted = {s * t for s, n in counts.items() if n for t in later}
             choices = [c for c in fib.choices if c[0] in wanted]
             if pool is None or len(choices) <= 1:
-                kept = _fiber_members(fib.psi, fib.order, choices, engine)
+                kept = _fiber_members(fib.template, choices, engine)
             else:
                 size = (len(choices) + jobs - 1) // jobs
                 chunks = [
-                    (fib.psi, fib.order, choices[i : i + size], engine.recursion_limit)
+                    (fib.template, choices[i : i + size], engine.recursion_limit)
                     for i in range(0, len(choices), size)
                 ]
                 kept = [c for part in pool.map(_eval_chunk, chunks) for c in part]
             lists.append(kept)
-            plus = sum(1 for sign, _ in kept if sign == 1)
+            plus = sum(1 for c in kept if c[0] == 1)
             minus = len(kept) - plus
             counts = {
                 1: counts[1] * plus + counts[-1] * minus,
@@ -158,19 +151,16 @@ def enumerate_packet(
     fibers, lists, _ = _plan(psi, order, jobs, engine)
     rows = [(1, (), ())]  # (sign, l, eta) over the fibers so far, concatenated
     for kept in lists:
-        rows = [
-            (s * sign, l + data.l, eta + data.eta) for s, l, eta in rows for sign, data in kept
-        ]
+        rows = [(s * t, l + m, eta + e) for s, l, eta in rows for t, m, e in kept]
     # slots[i]: where occurrence i sits in the concatenated data.
     concatenated = [occ for fib in fibers for occ in fib.occurrences]
     slots = sorted(range(len(concatenated)), key=concatenated.__getitem__)
-    members = [
-        SignedData(tuple(map(l.__getitem__, slots)), tuple(map(eta.__getitem__, slots)))
+    members = sorted(
+        (tuple(map(l.__getitem__, slots)), tuple(map(eta.__getitem__, slots)))
         for s, l, eta in rows
         if s == 1
-    ]
-    members.sort(key=lambda d: (d.l, d.eta))
-    return members
+    )
+    return [SignedData(l, eta) for l, eta in members]
 
 
 def packet_size(

@@ -9,6 +9,7 @@ import time
 
 from click.testing import CliRunner
 
+from arthur_packets import packets
 from arthur_packets.characters import quasisplit_ok, translate_M_to_W
 from arthur_packets.cli import main
 from arthur_packets.core import (
@@ -20,12 +21,17 @@ from arthur_packets.core import (
     all_admissible_orders,
     natural_order,
 )
-from arthur_packets.crosscheck import compare_three_block, random_three_block_shapes
+from arthur_packets.crosscheck import (
+    compare_three_block,
+    random_three_block_shapes,
+    three_block_parameter,
+)
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt, hi
-from arthur_packets.oracle import oracle_two_block
+from arthur_packets.oracle import oracle_two_block, three_block_grid
 from arthur_packets.packets import candidates, enumerate_packet, packet_size
 from arthur_packets.transforms import (
+    fiber_records,
     reorder,
     s_minus_pair,
     s_plus_pair,
@@ -36,6 +42,11 @@ from arthur_packets.transforms import (
 )
 
 RHO = RhoLabel("r", "orthogonal", 1)
+
+
+def _fibers(psi, order, data):
+    """The records ``Engine._decide_unchecked`` takes, built as ``decide`` does."""
+    return [fiber_records(psi, reversed(f), data.l, data.eta) for f in order.fibers()]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +91,39 @@ def test_criterion_2_oracle_engine_equivalence():
     elapsed = time.perf_counter() - t0
     assert mismatches == []
     assert elapsed < 60.0
+
+
+def test_crosscheck_sees_a_plan_fault(monkeypatch):
+    # The cross-check goes through the packet plan: a per-fiber filter that
+    # drops one kept choice shows up as a mismatch.
+    shapes = random_three_block_shapes(20, 12, 3)
+    shape = next(s for s in shapes if packet_size(three_block_parameter(*s)[0]))
+    assert compare_three_block(*shape) == []
+    members = packets._fiber_members
+    monkeypatch.setattr(packets, "_fiber_members", lambda *args: members(*args)[1:])
+    mismatches = compare_three_block(*shape)
+    assert mismatches and all(want and not got for _, want, got in mismatches)
+
+
+def test_crosscheck_covers_the_eta_twins():
+    # Every quasisplit grid point, with both etas at free blocks, gets from
+    # decide (through the engine's own canonicalization) the verdict that
+    # the cross-check reads off its canonical representative's membership.
+    engine = Engine()
+    points = twins = 0
+    for shape in random_three_block_shapes(50, 12, 3):
+        psi, order = three_block_parameter(*shape)
+        members = {(d.l, d.eta) for d in enumerate_packet(psi, order, engine=engine)}
+        for l1, e1, l2, e2, l3, e3 in three_block_grid(*shape):
+            data = SignedData((l3, l2, l1), (e3, e2, e1))
+            if not quasisplit_ok(psi, data):
+                continue
+            canonical = sigma0_canonical(psi, data)
+            got = engine.decide(psi, order, data).nonvanishing
+            assert got == ((canonical.l, canonical.eta) in members), (shape, data)
+            points += 1
+            twins += canonical != data
+    assert (points, twins) == (1196, 247)
 
 
 def _rejection_shapes(count, max_a, seed):
@@ -145,8 +189,9 @@ def test_criterion_3_two_block_dominance_closed_form():
                                         want = oracle_two_block(
                                             A1, B1, A2, B2, l1, e1, l2, e2
                                         )
+                                        data = SignedData((l2, l1), (e2, e1))
                                         got = eng._decide_unchecked(
-                                            psi, order, SignedData((l2, l1), (e2, e1))
+                                            _fibers(psi, order, data)
                                         ).nonvanishing
                                         assert got == want, (
                                             (A1, B1, A2, B2, zeta),
@@ -185,8 +230,9 @@ def test_criterion_3_two_block_nested_closed_form():
                                             2 * A1, 2 * B1, l1, e1,
                                             2 * (A2 + delta), 2 * B1, l2, e2,
                                         )
+                                        data = SignedData((l2, l1), (e2, e1))
                                         got = eng._decide_unchecked(
-                                            psi, order, SignedData((l2, l1), (e2, e1))
+                                            _fibers(psi, order, data)
                                         ).nonvanishing
                                         assert got == want, (
                                             (A1, B1, A2, B2, zeta),
@@ -368,7 +414,8 @@ def _candidate_filter(psi, order):
     kept = [
         d
         for d in candidates(psi)
-        if quasisplit_ok(psi, d) and engine._decide_unchecked(psi, order, d).nonvanishing
+        if quasisplit_ok(psi, d)
+        and engine._decide_unchecked(_fibers(psi, order, d)).nonvanishing
     ]
     return sorted(kept, key=lambda d: (d.l, d.eta))
 

@@ -19,6 +19,7 @@ from arthur_packets.core import (
     parameter_from_json,
     parameter_to_json,
 )
+from arthur_packets.engine import Engine
 from arthur_packets.halfint import hi
 from test_acceptance import _random_parameter, _small_fiber_parameters
 
@@ -207,6 +208,22 @@ def test_signed_data_bounds():
         SignedData((3,), (1,)).check_bounds(psi)
     with pytest.raises(DataError):
         SignedData((1,), (0,))
+
+
+def test_signed_data_rejects_non_integer_coordinates():
+    # Half-integral l, and eta given as a bool or a float: the first two used
+    # to decide NONVANISHING on golden.
+    golden = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)), group_kind="Sp-even")
+    order = natural_order(golden)
+    assert Engine().decide(golden, order, SignedData((10, 10, 2), (1, 1, 1))).nonvanishing
+    for l, eta in (
+        ((10, 9.5, 0.5), (1, 1, 1)),
+        ((10, 9.5, 1.5), (-1, 1, 1)),
+        ((10, 10, 2), (True, 1, 1)),
+        ((10, 10, 2), (1.0, 1, 1)),
+    ):
+        with pytest.raises(DataError):
+            Engine().decide(golden, order, SignedData(l, eta))
 
 
 def test_json_round_trip_with_counts_and_halfints():

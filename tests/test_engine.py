@@ -25,6 +25,7 @@ from arthur_packets.halfint import hi
 from arthur_packets.oracle import oracle_two_block
 from arthur_packets.packets import candidates, enumerate_packet
 from arthur_packets.transforms import fiber_records, sup_condition_ok
+from test_acceptance import _fibers  # the records decide builds
 from test_acceptance import _random_parameter  # the criterion-5 generator
 
 RHO = RhoLabel("r", "orthogonal", 1)
@@ -158,7 +159,7 @@ def test_trace_is_neutral_on_a_warm_engine():
 
     def outcome(data, collect_trace):
         try:
-            return eng._decide_unchecked(psi, order, data, collect_trace).nonvanishing
+            return eng._decide_unchecked(_fibers(psi, order, data), collect_trace).nonvanishing
         except RecursionLimitError:
             return None
 
@@ -180,15 +181,15 @@ def test_memoization_is_consistent():
 
 
 class _Recording(Engine):
-    """An engine that traces every decision and keeps its inputs and verdict."""
+    """An engine that traces every decision and keeps its fibers and verdict."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
 
-    def _decide_unchecked(self, psi, order, data, collect_trace=False):
-        verdict = super()._decide_unchecked(psi, order, data, True)
-        self.calls.append((psi, order, data, verdict))
+    def _decide_unchecked(self, fibers, collect_trace=False):
+        verdict = super()._decide_unchecked(fibers, True)
+        self.calls.append((fibers, verdict))
         return verdict
 
 
@@ -197,14 +198,14 @@ def _assert_stored_rules_are_neutral(shared):
     never stores a rule: same verdicts; the fresh memos together are the
     warm memo; the fresh traces together hold the warm traces' steps."""
     memo, steps = {}, set()
-    for psi, order, data, verdict in shared.calls:
+    for fibers, verdict in shared.calls:
         fresh = Engine()
-        replay = fresh._decide_unchecked(psi, order, data, True)
-        assert replay.nonvanishing == verdict.nonvanishing, (psi, order, data)
+        replay = fresh._decide_unchecked(fibers, True)
+        assert replay.nonvanishing == verdict.nonvanishing, fibers
         assert not fresh._rules
         memo.update(fresh._memo)
         steps.update(replay.trace)
-    warm_steps = [step for *_, verdict in shared.calls for step in verdict.trace]
+    warm_steps = [step for _, verdict in shared.calls for step in verdict.trace]
     assert len(set(warm_steps)) == len(warm_steps)
     assert set(warm_steps) == steps
     assert shared._memo == memo
@@ -273,7 +274,7 @@ def test_stored_rules_are_neutral_on_the_staircase():
     order = natural_order(psi)
     shared = _Recording()
     for l in ((2,) * n, (1,) * n, (2, 1) * (n // 2), (1, 2) * (n // 2)):
-        shared._decide_unchecked(psi, order, SignedData(l, (1,) * n))
+        shared._decide_unchecked(_fibers(psi, order, SignedData(l, (1,) * n)))
         # Rules are stored from the second decision on.
         assert bool(shared._rules) == (len(shared.calls) > 1)
     _assert_stored_rules_are_neutral(shared)

@@ -17,6 +17,7 @@ from arthur_packets.engine import Engine, rewrite
 from arthur_packets.halfint import HalfInt
 from arthur_packets.packets import candidates, enumerate_packet, packet_size
 from arthur_packets.reductions import measure
+from test_acceptance import _fibers  # the records decide builds
 
 
 @st.composite
@@ -47,7 +48,7 @@ def _signed_counts(blocks, engine):
     order = natural_order(psi)
     p = m = 0
     for data in candidates(psi):
-        if not engine._decide_unchecked(psi, order, data).nonvanishing:
+        if not engine._decide_unchecked(_fibers(psi, order, data)).nonvanishing:
             continue
         sign = 1
         for blk, l, eta in zip(blocks, data.l, data.eta):
@@ -105,11 +106,11 @@ def test_fresh_rho_block_keeps_the_other_fibers_verdicts(blocks, fresh, pos):
     order, wide_order = natural_order(psi), natural_order(wide)
     engine, wide_engine = Engine(), Engine()
     for data in candidates(psi):
-        want = engine._decide_unchecked(psi, order, data).nonvanishing
+        want = engine._decide_unchecked(_fibers(psi, order, data)).nonvanishing
         for extra in candidates(Parameter((fresh,))):
             l = data.l[:pos] + extra.l + data.l[pos:]
             eta = data.eta[:pos] + extra.eta + data.eta[pos:]
-            got = wide_engine._decide_unchecked(wide, wide_order, SignedData(l, eta))
+            got = wide_engine._decide_unchecked(_fibers(wide, wide_order, SignedData(l, eta)))
             assert got.nonvanishing == want, (data, extra)
 
 
