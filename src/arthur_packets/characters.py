@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import AdmissibleOrder, DataError, JordanBlock, Parameter, Sign, SignedData
+from .core import (
+    AdmissibleOrder,
+    DataError,
+    JordanBlock,
+    Parameter,
+    Sign,
+    SignedData,
+    _is_int,
+)
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,10 @@ def _eps(d: int, l: int, eta: Sign) -> Sign:
 
 def eps_l_eta(block: JordanBlock, l: int, eta: Sign) -> Sign:
     """eta^(A-B+1) * (-1)^(floor((A-B+1)/2) + l)."""
+    if not _is_int(l):
+        raise DataError(f"l must be an integer, got {l!r}")
+    if not (_is_int(eta) and eta in (1, -1)):
+        raise DataError(f"eta must be +1 or -1, got {eta!r}")
     if not (0 <= l <= block.l_max()):
         raise DataError(f"l={l} out of range [0, {block.l_max()}]")
     return _eps(block.d, l, eta)

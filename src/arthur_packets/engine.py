@@ -14,6 +14,12 @@ decision it computes each skeleton's rule once.  Good shape is a stop
 rule: its pair chunks are adjacent same-zeta pairs, whose basic condition the
 kernel's fast fail has already checked.
 
+The termination measure reads only the skeleton, and a step's subproblem
+skeletons follow from its fiber's skeleton and rule, so whether a rule
+decreases the measure does not depend on (l, eta).  ``Engine`` checks it on
+every step of its first decision, which stores no rule, and once per stored
+rule after that; it builds ``ReductionStep`` records only for a trace.
+
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
 ``decide`` validates its ``(psi, order, data)`` and builds those records;
@@ -35,7 +41,7 @@ from .core import (
     SignedData,
     is_admissible,
 )
-from .reductions import ReductionStep, change_sign, expand_amount
+from .reductions import ReductionStep, change_sign, expand_amount, measure
 from .transforms import (
     Rec,
     TransformPreconditionError,
@@ -208,18 +214,25 @@ def _rule(fiber: Sequence[Rec]) -> Rule:
     return (checks, "ChangeSign", range(n - 2, -1, -1))
 
 
-def _apply(rule: Rule, seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, Tuple]]:
-    """Run a rule on a canonical fiber of its skeleton, checking the data."""
+def _apply(
+    rule: Rule, seq: Tuple[Rec, ...]
+) -> Tuple[Optional[str], Tuple[Tuple[Rec, ...], ...], Union[bool, Tuple]]:
+    """Run a rule on a canonical fiber of its skeleton, checking the data.
+
+    Returns ``(kind or None, after, outcome)``: the kind of the step taken and
+    the records of its subproblems, then the verdict or the subproblems whose
+    conjunction is the verdict.
+    """
     checks, kind, arg = rule
     for i, basic, d_up, d_lo in checks:
         lo, up = seq[i], seq[i + 1]
         if basic:
             if not basic_ok(lo, up):
-                return None, False
+                return None, (), False
         elif not sup_condition_ok(d_up, d_lo, up[3], up[4], lo[3], lo[4]):
-            return None, False
+            return None, (), False
     if kind == "Good":
-        return None, True
+        return None, (), True
     if kind == "PullUnequal":
         try:
             work = swap_along(seq, arg)
@@ -228,26 +241,26 @@ def _apply(rule: Rule, seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], U
             # raises exactly when the pair's basic condition fails.
             P_swapped, _ = swap_records(Q, P)
         except TransformPreconditionError:
-            return None, False
-        rest = work[:-2]
-        step = ReductionStep.make(kind, seq, (rest, rest + [Q], rest + [P_swapped]))
-        return step, step.after
+            return None, (), False
+        rest = tuple(work[:-2])
+        after = (rest, rest + (Q,), rest + (P_swapped,))
+        return kind, after, after
     if kind == "PullEqual":
         work = swap_along(seq, arg)
         R, P = work[-2:]
-        rest = work[:-2]
-        step = ReductionStep.make(kind, seq, (rest, rest + [R]))
-        return step, basic_ok(R, P) and step.after
+        rest = tuple(work[:-2])
+        after = (rest, rest + (R,))
+        return kind, after, basic_ok(R, P) and after
     if kind == "Expand":
-        *rest, P = seq
+        P = seq[-1]
         expanded = (P[0] + 2 * arg, P[1] - 2 * arg, P[2], P[3] + arg, P[4])
-        step = ReductionStep.make(kind, seq, (rest + [expanded],))
-        return step, step.after
+        after = ((*seq[:-1], expanded),)
+        return kind, after, after
     if kind == "ChangeSign":
         work = swap_along(seq, arg)
         kind, changed = change_sign(work[0])
-        step = ReductionStep.make(kind, seq, ([changed] + work[1:],))
-        return step, step.after
+        after = ((changed, *work[1:]),)
+        return kind, after, after
     raise InvariantError(arg)
 
 
@@ -258,7 +271,18 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, 
     is the verdict; only a Pull-equal step whose basic condition fails
     returns its step and False.
     """
-    return _apply(_rule(seq), seq)
+    kind, after, outcome = _apply(_rule(seq), seq)
+    return (None if kind is None else ReductionStep.make(kind, seq, after)), outcome
+
+
+def _check_decrease(kind: str, before: Tuple[Rec, ...], after: Tuple[Tuple[Rec, ...], ...]) -> None:
+    """Raise unless every subproblem's termination measure is below the fiber's."""
+    m_before = measure(before)
+    m_after = tuple(map(measure, after))
+    if not all(m < m_before for m in m_after):
+        raise InvariantError(
+            f"termination measure failed to decrease on {kind}: {m_before} -> {m_after}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +305,9 @@ class Engine:
     top-level decision on an engine stores every rule it computes, each with
     its subproblems' plans (their skeletons follow from the parent's).  Its
     first decision stores none: an engine that decides one fiber would only
-    pay for them in memory.
+    pay for them in memory.  The measure decrease is checked on each step
+    whose rule is not stored, and on a stored rule's step that first fills
+    its plans.
     """
 
     def __init__(self, recursion_limit: int = 10000):
@@ -350,20 +376,17 @@ class Engine:
                 verdict = self._memo.get(canon)
                 if verdict is None:
                     rule, stored = self._rule_of(canon)
-                    step, outcome = _apply(rule, canon)
-                    if step is not None:
-                        if not step.decreases():
-                            raise InvariantError(
-                                f"termination measure failed to decrease on {step.kind}: "
-                                f"{step.measure_before} -> {step.measure_after}"
-                            )
+                    kind, after, outcome = _apply(rule, canon)
+                    if kind is not None:
+                        if stored is None or stored[1] is None:
+                            _check_decrease(kind, canon, after)
                         self._steps += 1
                         if self._steps > self.recursion_limit:
                             raise RecursionLimitError(
                                 f"reduction-step budget of {self.recursion_limit} exceeded"
                             )
                         if trace is not None:
-                            trace.append(step)
+                            trace.append(ReductionStep.make(kind, canon, after))
                     verdict = outcome is not False
                     if not isinstance(outcome, tuple):
                         subs = iter(())

@@ -3,10 +3,11 @@
 The decision engine rewrites a fiber, held as records ``(tA, tB, zeta, l, eta)``
 with tA, tB doubled coordinates, by Pull, Expand and Change sign only, until
 every piece is in good shape.  This module holds the pure record-level parts
-of those rewrites: the Expand amount, the Change-sign rule, and the
-termination measure with the step record that the engine checks on every
-rewrite.  Pull stays inside the engine, because it
-moves the pulled block through its fiber with ``transforms.swap_along``.
+of those rewrites: the Expand amount, the Change-sign rule, the termination
+measure, which the engine checks once per stored rule and on every step where
+no rule is stored, and the step record that a trace lists.  Pull stays inside
+the engine, because it moves the pulled block through its fiber with
+``transforms.swap_along``.
 """
 
 from __future__ import annotations

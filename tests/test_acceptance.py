@@ -517,9 +517,10 @@ def test_criterion_6_character_identity_under_reorder():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_measure_strictly_decreases():
-    # The engine asserts the decrease on every recorded step (so criteria 1-3
-    # and 5 above enforce it implicitly); here traces are inspected explicitly
-    # on a spread of golden-instance members.
+    # The engine checks the decrease on every step where no rule is stored
+    # and once per stored rule (so criteria 1-3 and 5 above enforce it
+    # implicitly); here traces are inspected explicitly, step by step, on a
+    # spread of golden-instance members.
     psi = Parameter(
         (
             JordanBlock(RHO, hi(40), hi(10), 1),

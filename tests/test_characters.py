@@ -81,6 +81,14 @@ def test_eps_l_eta_formula():
         eps_l_eta(b, 3, 1)
 
 
+def test_eps_l_eta_rejects_malformed_data():
+    # As SignedData does: l a plain int, eta the int +1 or -1.
+    b = blk(4, 2, 1)
+    for l, eta in ((0, 0), (0, 5), (True, 1), (1.0, 1)):
+        with pytest.raises(DataError):
+            eps_l_eta(b, l, eta)
+
+
 def test_quasisplit_product():
     psi = Parameter((blk(3, 3, 1), blk(1, 1, 1)))
     assert quasisplit_ok(psi, SignedData((0, 0), (1, 1)))

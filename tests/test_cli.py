@@ -4,7 +4,7 @@ import sys
 from click.testing import CliRunner
 
 from arthur_packets.cli import main
-from arthur_packets.reductions import ReductionStep
+from arthur_packets import engine as engine_module
 
 runner = CliRunner()
 
@@ -157,16 +157,17 @@ def test_internal_error_exit_five(monkeypatch):
     # A failed engine invariant is not a verification mismatch (exit 1).
     args = ["decide", "--example", "moeglin-s8", "--l", "10,10,2", "--eta", "1,1,1"]
     with monkeypatch.context() as patch:
-        patch.setattr(ReductionStep, "decreases", lambda self: False)
+        # Every subproblem's measure ties its parent's.
+        patch.setattr(engine_module, "measure", lambda recs: (0, 0, 0))
         res = runner.invoke(main, args)
     assert res.exit_code == 5, res.output
     assert res.stderr.startswith("error: invariant: termination measure")
     assert res.stderr.count("\n") == 1
     # Any other unexpected exception names its type.
-    def broken(self):
+    def broken(recs):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(ReductionStep, "decreases", broken)
+    monkeypatch.setattr(engine_module, "measure", broken)
     res = runner.invoke(main, args)
     assert res.exit_code == 5, res.output
     assert res.stderr == "error: internal: ZeroDivisionError: boom\n"

@@ -10,6 +10,7 @@ import pytest
 from arthur_packets.core import (
     AdmissibleOrder,
     DataError,
+    InvariantError,
     JordanBlock,
     Parameter,
     RhoLabel,
@@ -24,6 +25,7 @@ from arthur_packets.engine import Engine, RecursionLimitError, _good_shape, basi
 from arthur_packets.halfint import hi
 from arthur_packets.oracle import oracle_two_block
 from arthur_packets.packets import candidates, enumerate_packet
+from arthur_packets.reductions import ReductionStep
 from arthur_packets.transforms import fiber_records, sup_condition_ok
 from test_acceptance import _fibers  # the records decide builds
 from test_acceptance import _random_parameter  # the criterion-5 generator
@@ -266,6 +268,60 @@ def test_each_rule_is_computed_once_after_the_first_decision(monkeypatch):
         assert len(calls) == len(shared._rules) > 0, run.__name__
 
 
+def test_every_rule_is_checked_for_the_measure_decrease(monkeypatch):
+    # The decrease is checked on every step of an engine's first decision,
+    # which stores no rule, and when a stored rule is first applied.
+    psi, order = _golden()
+
+    def top_skeleton(data):
+        trace = Engine().decide(psi, order, data, collect_trace=True).trace
+        return trace and tuple(rec[:3] for rec in trace[0].before)
+
+    first = SignedData((10, 10, 2), (1, 1, 1))
+    skeleton = top_skeleton(first)
+    # Another member whose first step rewrites a fiber of the same skeleton.
+    second = next(
+        data
+        for data in enumerate_packet(psi, order)
+        if data.l != first.l and top_skeleton(data) == skeleton
+    )
+    warm = Engine()
+    warm.decide(psi, order, first)
+    rule = engine_module._rule
+
+    def planted(fiber):
+        # Expand by 0 on one skeleton: the only subproblem is the fiber itself.
+        checks, kind, arg = rule(fiber)
+        if tuple(rec[:3] for rec in fiber) == skeleton:
+            return checks, "Expand", 0
+        return checks, kind, arg
+
+    monkeypatch.setattr(engine_module, "_rule", planted)
+    cold = Engine()
+    with pytest.raises(InvariantError, match="termination measure failed to decrease on Expand"):
+        cold.decide(psi, order, first)
+    assert not cold._rules
+    with pytest.raises(InvariantError, match="termination measure failed to decrease on Expand"):
+        warm.decide(psi, order, second)
+    assert warm._decisions == 2 and warm._rules[skeleton][1] is None
+
+
+def test_reduction_steps_are_built_only_for_a_trace(monkeypatch):
+    made = []
+    make = ReductionStep.make
+
+    def counted(kind, before, after):
+        made.append(kind)
+        return make(kind, before, after)
+
+    monkeypatch.setattr(ReductionStep, "make", staticmethod(counted))
+    psi, order = _golden()
+    assert len(enumerate_packet(psi, order)) == 1651
+    assert made == []
+    verdict = Engine().decide(psi, order, SignedData((10, 10, 2), (1, 1, 1)), collect_trace=True)
+    assert len(made) == len(verdict.trace) > 0
+
+
 def test_stored_rules_are_neutral_on_the_staircase():
     # The 28-block chain A = i + 3, B = i with alternating zeta, under four
     # l patterns, so that its skeletons come up in more than one decision.
@@ -300,15 +356,14 @@ def test_measure_check_survives_optimized_mode():
     # The engine's invariant checks are explicit raises, so `python -O` keeps them.
     script = """
 from arthur_packets.core import AdmissibleOrder, JordanBlock, Parameter, RhoLabel, SignedData
-from arthur_packets.engine import Engine
+from arthur_packets import engine
 from arthur_packets.halfint import hi
-from arthur_packets.reductions import ReductionStep
-ReductionStep.decreases = lambda self: False
+engine.measure = lambda recs: (0, 0, 0)  # every subproblem ties its parent
 rho = RhoLabel("r", "orthogonal", 1)
 psi = Parameter((JordanBlock(rho, hi(40), hi(10), 1), JordanBlock(rho, hi(37), hi(7), -1),
                  JordanBlock(rho, hi(8), hi(4), 1)), group_kind="Sp-even")
 try:
-    Engine().decide(psi, AdmissibleOrder(((0, 1, 2),)), SignedData((10, 10, 2), (1, 1, 1)))
+    engine.Engine().decide(psi, AdmissibleOrder(((0, 1, 2),)), SignedData((10, 10, 2), (1, 1, 1)))
 except AssertionError as exc:
     print("raised:", exc)
 """
