@@ -79,9 +79,9 @@ def _load_parameter(file_: Optional[str], example: Optional[str]):
             _fail(EXIT_PARSE, f"unknown example {example!r}")
     else:
         try:
-            with open(file_, "r") as fh:
+            with open(file_, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             _fail(EXIT_PARSE, f"cannot read parameter file: {exc}")
     return parameter_from_json(obj)
 

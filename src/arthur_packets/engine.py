@@ -14,11 +14,14 @@ decision it computes each skeleton's rule once.  Good shape is a stop
 rule: its pair chunks are adjacent same-zeta pairs, whose basic condition the
 kernel's fast fail has already checked.
 
-The termination measure reads only the skeleton, and a step's subproblem
-skeletons follow from its fiber's skeleton and rule, so whether a rule
-decreases the measure does not depend on (l, eta).  ``Engine`` checks it on
-every step of its first decision, which stores no rule, and once per stored
-rule after that; it builds ``ReductionStep`` records only for a trace.
+A rewrite step is ``(kind, after, ok)``: its kind, the records of its
+subproblems, and ``ok``, False only on a Pull-equal step whose basic condition
+fails.  The termination measure reads only the skeleton, and a step's
+subproblem skeletons follow from its fiber's skeleton and rule, so whether a
+rule decreases the measure does not depend on (l, eta).  ``Engine`` checks it
+with ``reductions.decreases`` on every step of its first decision, which
+stores no rule, and on the first step of each stored rule after that; it
+builds ``ReductionStep`` records only for a trace or a failed check.
 
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
@@ -41,7 +44,7 @@ from .core import (
     SignedData,
     is_admissible,
 )
-from .reductions import ReductionStep, change_sign, expand_amount, measure
+from .reductions import ReductionStep, change_sign, decreases, expand_amount
 from .transforms import (
     Rec,
     TransformPreconditionError,
@@ -216,12 +219,12 @@ def _rule(fiber: Sequence[Rec]) -> Rule:
 
 def _apply(
     rule: Rule, seq: Tuple[Rec, ...]
-) -> Tuple[Optional[str], Tuple[Tuple[Rec, ...], ...], Union[bool, Tuple]]:
+) -> Tuple[Optional[str], Tuple[Tuple[Rec, ...], ...], bool]:
     """Run a rule on a canonical fiber of its skeleton, checking the data.
 
-    Returns ``(kind or None, after, outcome)``: the kind of the step taken and
-    the records of its subproblems, then the verdict or the subproblems whose
-    conjunction is the verdict.
+    Returns ``(kind or None, after, ok)``: the kind of the step taken, the
+    records of its subproblems (``()`` when no step is taken), and ``ok``.
+    The verdict is False when ``ok`` is, else the conjunction of ``after``'s.
     """
     checks, kind, arg = rule
     for i, basic, d_up, d_lo in checks:
@@ -243,46 +246,32 @@ def _apply(
         except TransformPreconditionError:
             return None, (), False
         rest = tuple(work[:-2])
-        after = (rest, rest + (Q,), rest + (P_swapped,))
-        return kind, after, after
+        return kind, (rest, rest + (Q,), rest + (P_swapped,)), True
     if kind == "PullEqual":
         work = swap_along(seq, arg)
         R, P = work[-2:]
         rest = tuple(work[:-2])
-        after = (rest, rest + (R,))
-        return kind, after, basic_ok(R, P) and after
+        return kind, (rest, rest + (R,)), basic_ok(R, P)
     if kind == "Expand":
         P = seq[-1]
         expanded = (P[0] + 2 * arg, P[1] - 2 * arg, P[2], P[3] + arg, P[4])
-        after = ((*seq[:-1], expanded),)
-        return kind, after, after
+        return kind, ((*seq[:-1], expanded),), True
     if kind == "ChangeSign":
         work = swap_along(seq, arg)
         kind, changed = change_sign(work[0])
-        after = ((changed, *work[1:]),)
-        return kind, after, after
+        return kind, ((changed, *work[1:]),), True
     raise InvariantError(arg)
 
 
-def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], Union[bool, Tuple]]:
-    """One rewrite of a canonical fiber: ``(step or None, outcome)``.
+def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], bool]:
+    """One rewrite of a canonical fiber: ``(step or None, ok)``.
 
-    ``outcome`` is the verdict or the tuple of subproblems whose conjunction
-    is the verdict; only a Pull-equal step whose basic condition fails
-    returns its step and False.
+    The fiber's verdict is False when ``ok`` is, else the conjunction of the
+    verdicts of ``step.after`` (True when there is no step).  Only a
+    Pull-equal step whose basic condition fails has ``ok`` False.
     """
-    kind, after, outcome = _apply(_rule(seq), seq)
-    return (None if kind is None else ReductionStep.make(kind, seq, after)), outcome
-
-
-def _check_decrease(kind: str, before: Tuple[Rec, ...], after: Tuple[Tuple[Rec, ...], ...]) -> None:
-    """Raise unless every subproblem's termination measure is below the fiber's."""
-    m_before = measure(before)
-    m_after = tuple(map(measure, after))
-    if not all(m < m_before for m in m_after):
-        raise InvariantError(
-            f"termination measure failed to decrease on {kind}: {m_before} -> {m_after}"
-        )
+    kind, after, ok = _apply(_rule(seq), seq)
+    return (None if kind is None else ReductionStep(kind, seq, after)), ok
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +295,8 @@ class Engine:
     its subproblems' plans (their skeletons follow from the parent's).  Its
     first decision stores none: an engine that decides one fiber would only
     pay for them in memory.  The measure decrease is checked on each step
-    whose rule is not stored, and on a stored rule's step that first fills
-    its plans.
+    whose rule is not stored, and on a stored rule's first step, which fills
+    its plans whatever that step's verdict.
     """
 
     def __init__(self, recursion_limit: int = 10000):
@@ -376,27 +365,27 @@ class Engine:
                 verdict = self._memo.get(canon)
                 if verdict is None:
                     rule, stored = self._rule_of(canon)
-                    kind, after, outcome = _apply(rule, canon)
+                    kind, after, verdict = _apply(rule, canon)
+                    plans = repeat(None)
                     if kind is not None:
-                        if stored is None or stored[1] is None:
-                            _check_decrease(kind, canon, after)
+                        if stored is not None and stored[1] is not None:
+                            plans = stored[1]
+                        elif not decreases(canon, after):
+                            step = ReductionStep(kind, canon, after)
+                            raise InvariantError(
+                                f"termination measure failed to decrease on {kind}: "
+                                f"{step.measure_before} -> {step.measure_after}"
+                            )
+                        elif stored is not None:
+                            plans = stored[1] = tuple(map(_plan, after))
                         self._steps += 1
                         if self._steps > self.recursion_limit:
                             raise RecursionLimitError(
                                 f"reduction-step budget of {self.recursion_limit} exceeded"
                             )
                         if trace is not None:
-                            trace.append(ReductionStep.make(kind, canon, after))
-                    verdict = outcome is not False
-                    if not isinstance(outcome, tuple):
-                        subs = iter(())
-                    elif stored is None:
-                        subs = zip(outcome, repeat(None))
-                    else:
-                        if stored[1] is None:
-                            stored[1] = tuple(map(_plan, outcome))
-                        subs = zip(outcome, stored[1])
-                    stack.append((canon, subs))
+                            trace.append(ReductionStep(kind, canon, after))
+                    stack.append((canon, zip(after, plans)))
             # Hand the verdict up: open the next subproblem or close the frame.
             while stack:
                 canon, subs = stack[-1]

@@ -4,10 +4,11 @@ The decision engine rewrites a fiber, held as records ``(tA, tB, zeta, l, eta)``
 with tA, tB doubled coordinates, by Pull, Expand and Change sign only, until
 every piece is in good shape.  This module holds the pure record-level parts
 of those rewrites: the Expand amount, the Change-sign rule, the termination
-measure, which the engine checks once per stored rule and on every step where
-no rule is stored, and the step record that a trace lists.  Pull stays inside
-the engine, because it moves the pulled block through its fiber with
-``transforms.swap_along``.
+measure with ``decreases``, the one place its decrease rule is written (the
+engine checks it on every step where no rule is stored and once per stored
+rule), and ``ReductionStep``, the ``(kind, before, after)`` record that a
+trace lists.  Pull stays inside the engine, because it moves the pulled block
+through its fiber with ``transforms.swap_along``.
 """
 
 from __future__ import annotations
@@ -84,27 +85,33 @@ def measure(recs: Sequence[Rec]) -> Tuple[int, int, int]:
     return (len(recs), total, len(recs) - plus if top_z == 1 else plus)
 
 
+def decreases(before: Sequence[Rec], after: Sequence[Sequence[Rec]]) -> bool:
+    """Whether every subproblem's termination measure is below the fiber's."""
+    m = measure(before)
+    return all(measure(sub) < m for sub in after)
+
+
 class ReductionStep(NamedTuple):
-    """One rewrite applied by the engine, with its measure bookkeeping.
+    """One rewrite applied by the engine.
 
     ``before`` is the working-set record tuple the step consumed; ``after``
     holds the working-set record tuple of every emitted subproblem.  The
-    conjunction of the subproblem verdicts equals the verdict of ``before``.
+    conjunction of the subproblem verdicts equals the verdict of ``before``,
+    except on a Pull-equal step, which also asks the pulled pair's basic
+    condition.
     """
 
     kind: str  # PullUnequal | PullEqual | Expand | ChangeSignIntegral | ChangeSignHalf
     before: Tuple[Rec, ...]
     after: Tuple[Tuple[Rec, ...], ...]
-    measure_before: Tuple[int, int, int] = (0, 0, 0)
-    measure_after: Tuple[Tuple[int, int, int], ...] = ()
 
-    @staticmethod
-    def make(kind: str, before, after) -> "ReductionStep":
-        before = tuple(before)
-        after = tuple(map(tuple, after))
-        return ReductionStep(
-            kind, before, after, measure(before), tuple(map(measure, after))
-        )
+    @property
+    def measure_before(self) -> Tuple[int, int, int]:
+        return measure(self.before)
+
+    @property
+    def measure_after(self) -> Tuple[Tuple[int, int, int], ...]:
+        return tuple(map(measure, self.after))
 
     def decreases(self) -> bool:
-        return all(m < self.measure_before for m in self.measure_after)
+        return decreases(self.before, self.after)

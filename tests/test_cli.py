@@ -4,7 +4,7 @@ import sys
 from click.testing import CliRunner
 
 from arthur_packets.cli import main
-from arthur_packets import engine as engine_module
+from arthur_packets import reductions as reductions_module
 
 runner = CliRunner()
 
@@ -158,7 +158,7 @@ def test_internal_error_exit_five(monkeypatch):
     args = ["decide", "--example", "moeglin-s8", "--l", "10,10,2", "--eta", "1,1,1"]
     with monkeypatch.context() as patch:
         # Every subproblem's measure ties its parent's.
-        patch.setattr(engine_module, "measure", lambda recs: (0, 0, 0))
+        patch.setattr(reductions_module, "measure", lambda recs: (0, 0, 0))
         res = runner.invoke(main, args)
     assert res.exit_code == 5, res.output
     assert res.stderr.startswith("error: invariant: termination measure")
@@ -167,7 +167,7 @@ def test_internal_error_exit_five(monkeypatch):
     def broken(recs):
         raise ZeroDivisionError("boom")
 
-    monkeypatch.setattr(engine_module, "measure", broken)
+    monkeypatch.setattr(reductions_module, "measure", broken)
     res = runner.invoke(main, args)
     assert res.exit_code == 5, res.output
     assert res.stderr == "error: internal: ZeroDivisionError: boom\n"
@@ -349,6 +349,17 @@ def test_deeply_nested_file_exit_two(tmp_path):
     res = runner.invoke(main, ["size", "--file", str(path)])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: cannot read parameter file")
+
+
+def test_non_utf8_file_exit_two(tmp_path):
+    # A file that is not UTF-8 (here a UTF-16 byte-order mark) is unreadable
+    # input, not an internal error.
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"blocks": []}'.encode("utf-16-le"))
+    res = runner.invoke(main, ["size", "--file", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: cannot read parameter file")
+    assert res.stderr.count("\n") == 1
 
 
 def test_order_not_matching_fibers_exit_three(tmp_path):

@@ -19,6 +19,7 @@ from arthur_packets.core import (
     natural_order,
 )
 from arthur_packets import engine as engine_module
+from arthur_packets import reductions as reductions_module
 from arthur_packets.characters import quasisplit_ok
 from arthur_packets.crosscheck import compare_three_block, random_three_block_shapes
 from arthur_packets.engine import Engine, RecursionLimitError, _good_shape, basic_ok
@@ -306,15 +307,34 @@ def test_every_rule_is_checked_for_the_measure_decrease(monkeypatch):
     assert warm._decisions == 2 and warm._rules[skeleton][1] is None
 
 
+def test_decrease_is_checked_once_per_stored_rule(monkeypatch):
+    # After an engine's first decision, a stored rule's decrease is checked
+    # by its first step only, whatever that step's verdict (a Pull-equal step
+    # whose basic condition fails included).
+    decreases = reductions_module.decreases
+    shared, checked = Engine(), []
+
+    def counted(before, after):
+        if shared._decisions > 1:
+            checked.append(tuple(rec[:3] for rec in before))
+        return decreases(before, after)
+
+    monkeypatch.setattr(engine_module, "decreases", counted)
+    for shape in random_three_block_shapes(210, 12, 0):
+        assert compare_three_block(*shape, engine=shared) == []
+    assert len(checked) == len(set(checked)) > 0
+    assert len(checked) == sum(stored[1] is not None for stored in shared._rules.values())
+
+
 def test_reduction_steps_are_built_only_for_a_trace(monkeypatch):
     made = []
-    make = ReductionStep.make
+    new = ReductionStep.__new__
 
-    def counted(kind, before, after):
+    def counted(cls, kind, before, after):
         made.append(kind)
-        return make(kind, before, after)
+        return new(cls, kind, before, after)
 
-    monkeypatch.setattr(ReductionStep, "make", staticmethod(counted))
+    monkeypatch.setattr(ReductionStep, "__new__", counted)
     psi, order = _golden()
     assert len(enumerate_packet(psi, order)) == 1651
     assert made == []
@@ -356,9 +376,9 @@ def test_measure_check_survives_optimized_mode():
     # The engine's invariant checks are explicit raises, so `python -O` keeps them.
     script = """
 from arthur_packets.core import AdmissibleOrder, JordanBlock, Parameter, RhoLabel, SignedData
-from arthur_packets import engine
+from arthur_packets import engine, reductions
 from arthur_packets.halfint import hi
-engine.measure = lambda recs: (0, 0, 0)  # every subproblem ties its parent
+reductions.measure = lambda recs: (0, 0, 0)  # every subproblem ties its parent
 rho = RhoLabel("r", "orthogonal", 1)
 psi = Parameter((JordanBlock(rho, hi(40), hi(10), 1), JordanBlock(rho, hi(37), hi(7), -1),
                  JordanBlock(rho, hi(8), hi(4), 1)), group_kind="Sp-even")

@@ -192,9 +192,9 @@ def test_measure_and_reduction_step():
     seq = ((8, 4, 1, 0, 1), (4, 2, -1, 0, 1), (2, 0, 1, 0, 1))
     m = measure(seq)
     assert m == (3, 6, 1)
-    step = ReductionStep.make("Expand", seq, (seq[:2],))
+    step = ReductionStep("Expand", seq, (seq[:2],))
     assert step.decreases()
-    bad = ReductionStep.make("Expand", seq, (seq,))
+    bad = ReductionStep("Expand", seq, (seq,))
     assert not bad.decreases()
 
 
@@ -217,7 +217,8 @@ def test_rewrite_contract():
     # Every recorded step: the verdict on its input is the conjunction of the
     # verdicts on its subproblems, each decided by a fresh engine, and for a
     # Pull-equal step also the basic condition of the pulled pair; and the
-    # kernel alone, without engine state, reproduces the step from its input.
+    # kernel alone, without engine state, reproduces the step from its input,
+    # with ``ok`` False only on a Pull-equal step whose basic condition fails.
     psi = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)), group_kind="Sp-even")
     order = AdmissibleOrder(((0, 1, 2),))
     eng = Engine()
@@ -237,11 +238,10 @@ def test_rewrite_contract():
     kinds = set()
     for step in steps:
         kinds.add(step.kind)
-        holds = all(_verdict(sub) for sub in step.after)
-        if step.kind == "PullEqual":
-            # The pulled partner ends the longer subproblem; the top block
-            # does not move.
-            holds = holds and basic_ok(step.after[-1][-1], step.before[-1])
+        ok = step.kind != "PullEqual" or basic_ok(step.after[-1][-1], step.before[-1])
+        # On Pull-equal, the pulled partner ends the longer subproblem; the
+        # top block does not move.
+        holds = ok and all(_verdict(sub) for sub in step.after)
         assert _verdict(step.before) == holds, step
-        assert rewrite(step.before)[0] == step
+        assert rewrite(step.before) == (step, ok)
     assert kinds == {"PullUnequal", "PullEqual", "Expand", "ChangeSignIntegral", "ChangeSignHalf"}
