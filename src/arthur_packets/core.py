@@ -21,6 +21,7 @@ SYMPLECTIC = "symplectic"
 GROUP_KINDS = ("Sp-even", "SO-odd", "SO-even")
 
 Sign = int  # +1 or -1
+_SIGNS = frozenset((1, -1))
 
 
 class ParameterError(ValueError):
@@ -38,6 +39,11 @@ class InvariantError(AssertionError):
 def _is_int(x) -> bool:
     """A plain integer: bool is an int subclass, but not a number here."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_type(t: type) -> bool:
+    """Whether ``_is_int`` holds for the instances of ``t``."""
+    return issubclass(t, int) and t is not bool
 
 
 def _check_sign(z, what: str) -> int:
@@ -166,6 +172,11 @@ class Parameter:
         """``is_admissible`` verdicts by order; a raised DataError is not kept."""
         return {}
 
+    @cached_property
+    def _transports(self) -> Dict[Tuple["AdmissibleOrder", "AdmissibleOrder"], tuple]:
+        """``reorder``'s per-fiber swap schedules by (from_order, to_order)."""
+        return {}
+
     def fibers(self) -> Dict[RhoLabel, Tuple[int, ...]]:
         return dict(self._fiber_map)
 
@@ -215,16 +226,25 @@ class SignedData:
     eta: Tuple[Sign, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l", tuple(self.l))
-        object.__setattr__(self, "eta", tuple(self.eta))
-        if len(self.l) != len(self.eta):
+        l, eta = self.l, self.eta
+        if type(l) is not tuple:
+            l = tuple(l)
+            object.__setattr__(self, "l", l)
+        if type(eta) is not tuple:
+            eta = tuple(eta)
+            object.__setattr__(self, "eta", eta)
+        if len(l) != len(eta):
             raise DataError("l and eta must have the same length")
-        # Records are built from these, so 9.5, 1.0 or True must not pass.
-        if not all(map(_is_int, self.l)):
-            raise DataError(f"l entries must be integers, got {self.l!r}")
-        for e in self.eta:
-            if not (_is_int(e) and e in (1, -1)):
-                raise DataError(f"eta entries must be +1/-1, got {e!r}")
+        # Records are built from these, so 9.5, 1.0 or True must not pass:
+        # each entry type is checked once, then the eta values.
+        types = set(map(type, l))
+        types.update(map(type, eta))
+        if all(map(_is_int_type, types)) and _SIGNS.issuperset(eta):
+            return
+        if not all(map(_is_int, l)):
+            raise DataError(f"l entries must be integers, got {l!r}")
+        bad = next(e for e in eta if not (_is_int(e) and e in _SIGNS))
+        raise DataError(f"eta entries must be +1/-1, got {bad!r}")
 
     def check_bounds(self, psi: Parameter) -> None:
         l_max = psi.l_max

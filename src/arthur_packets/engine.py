@@ -26,7 +26,9 @@ builds ``ReductionStep`` records only for a trace or a failed check.
 Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
 ``decide`` validates its ``(psi, order, data)`` and builds those records;
-``_decide_unchecked`` takes them directly, as the packet plan does.
+``_decide_unchecked`` takes them directly, as the packet plan does, with
+each fiber's canonicalization plan (``_plan``) when the caller knows its
+skeleton in advance.
 """
 
 from __future__ import annotations
@@ -346,16 +348,19 @@ class Engine:
 
     # -- fiber decision ---------------------------------------------------
 
-    def _fiber_decide(self, seq: Sequence[Rec], trace: Optional[list]) -> bool:
+    def _fiber_decide(
+        self, seq: Sequence[Rec], trace: Optional[list], plan: Optional[Plan] = None
+    ) -> bool:
         """Decide a fiber by a depth-first walk of the rewrites' conjunctions.
 
-        A stack frame closes, memoized, once a subproblem fails or all hold.
-        Memo hits are reused with or without a trace, so a trace lists only
-        the steps this walk takes.
+        ``plan``, when given, is ``_plan`` of the fiber's skeleton.  A stack
+        frame closes, memoized, once a subproblem fails or all hold.  Memo
+        hits are reused with or without a trace, so a trace lists only the
+        steps this walk takes.
         """
         self._decisions += 1
         stack: List[Tuple[Tuple[Rec, ...], Iterator]] = []
-        pending, plan = seq, None
+        pending = seq
         while True:
             try:
                 canon = self._canonicalize(pending, plan)
@@ -416,11 +421,19 @@ class Engine:
         return self._decide_unchecked(fibers, collect_trace)
 
     def _decide_unchecked(
-        self, fibers: Sequence[Sequence[Rec]], collect_trace: bool = False
+        self,
+        fibers: Sequence[Sequence[Rec]],
+        collect_trace: bool = False,
+        plans: Optional[Sequence[Plan]] = None,
     ) -> Verdict:
         """The conjunction of the fibers' verdicts, each fiber given as its
-        records in ascending order; nothing is validated here."""
+        records in ascending order; nothing is validated here.
+
+        ``plans``, aligned with ``fibers``, holds each fiber's ``_plan``
+        when its skeleton is known in advance, as in the packet plan, so
+        that canonicalizing it computes no sort schedule.
+        """
         trace: Optional[list] = [] if collect_trace else None
         self._steps = 0
-        ok = all(self._fiber_decide(recs, trace) for recs in fibers)
+        ok = all(map(self._fiber_decide, fibers, repeat(trace), plans or repeat(None)))
         return Verdict(ok, tuple(trace) if trace is not None else ())

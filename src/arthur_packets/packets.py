@@ -9,7 +9,11 @@ asks the product of the per-block signs to be +1.  So ``_plan`` compiles each
 fiber of the order once, as a record template with its part of the grid and
 each choice's sign, and decides every needed fiber choice once with
 ``Engine._decide_unchecked`` (one ``_fiber_decide`` walk, with its own step
-budget).  ``enumerate_packet`` is the product of the per-fiber member lists
+budget).  Every choice fills the same template, so the engine's
+canonicalization plan of the template (its sort schedule and invisible-eta
+positions, ``engine._plan``) is compiled with it and passed along: no choice
+works out a schedule again, and each still runs every swap and its checks.
+``enumerate_packet`` is the product of the per-fiber member lists
 with sign product +1, sorted for determinism; ``packet_size`` only counts
 those products by sign.  This plan is the library's one member filter.
 """
@@ -17,11 +21,14 @@ those products by sign.  This plan is the library's one member filter.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .characters import _eps
 from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible, natural_order
-from .engine import Engine
+from .engine import Engine, _plan as _canonical_plan
+
+if TYPE_CHECKING:
+    from .engine import Plan
 
 # A fiber choice: the sign product of its blocks, then its l and eta on the
 # fiber's occurrences in ascending index order.
@@ -62,6 +69,7 @@ class _Fiber(NamedTuple):
 
     occurrences: Tuple[int, ...]  # ascending occurrence indices in psi
     template: Template  # its records in the fiber order, ascending
+    plan: Plan  # the engine's canonicalization plan of the template
     choices: List[Choice]  # its part of the canonical grid, with signs
 
 
@@ -70,26 +78,31 @@ def _fiber(psi: Parameter, fiber: Tuple[int, ...]) -> _Fiber:
     occurrences = tuple(sorted(fiber))
     position = {occ: i for i, occ in enumerate(occurrences)}
     records = psi.records
+    template = tuple((position[occ], records[occ]) for occ in reversed(fiber))
     return _Fiber(
         occurrences,
-        tuple((position[occ], records[occ]) for occ in reversed(fiber)),
+        template,
+        _canonical_plan([rec for _, rec in template]),
         _choices([records[occ] for occ in occurrences]),
     )
 
 
-def _fiber_members(template: Template, choices: List[Choice], engine: Engine) -> List[Choice]:
+def _fiber_members(
+    template: Template, plan: Plan, choices: List[Choice], engine: Engine
+) -> List[Choice]:
     """The choices on a fiber's template that are nonvanishing."""
     decide = engine._decide_unchecked
+    plans = (plan,)
     return [
         c
         for c in choices
-        if decide(([rec + (c[1][i], c[2][i]) for i, rec in template],)).nonvanishing
+        if decide(([rec + (c[1][i], c[2][i]) for i, rec in template],), False, plans).nonvanishing
     ]
 
 
 def _eval_chunk(args):
-    template, chunk, recursion_limit = args
-    return _fiber_members(template, chunk, Engine(recursion_limit))
+    template, plan, chunk, recursion_limit = args
+    return _fiber_members(template, plan, chunk, Engine(recursion_limit))
 
 
 def _plan(
@@ -124,11 +137,11 @@ def _plan(
             wanted = {s * t for s, n in counts.items() if n for t in later}
             choices = [c for c in fib.choices if c[0] in wanted]
             if pool is None or len(choices) <= 1:
-                kept = _fiber_members(fib.template, choices, engine)
+                kept = _fiber_members(fib.template, fib.plan, choices, engine)
             else:
                 size = (len(choices) + jobs - 1) // jobs
                 chunks = [
-                    (fib.template, choices[i : i + size], engine.recursion_limit)
+                    (fib.template, fib.plan, choices[i : i + size], engine.recursion_limit)
                     for i in range(0, len(choices), size)
                 ]
                 kept = [c for part in pool.map(_eval_chunk, chunks) for c in part]

@@ -15,7 +15,10 @@ in which both the decision engine and ``reorder`` move (l, eta).  It is
 ``swap_along(recs, swap_schedule(keys))``: the swap positions depend on the
 keys alone, so a caller that sorts the same keys again can keep the schedule.
 ``reorder`` is the one Parameter-level transport: a single adjacent swap is
-``reorder`` to the order with that pair exchanged.
+``reorder`` to the order with that pair exchanged.  Its schedules depend only
+on the two orders, so the first call for a pair of orders compiles them, per
+fiber, on the parameter; every call still checks the bounds, both orders,
+each swap's conditions and the order it reached.
 """
 
 from __future__ import annotations
@@ -250,6 +253,7 @@ def sigma0_equiv(d1: SignedData, d2: SignedData, psi: Parameter) -> bool:
 
 def sigma0_canonical(psi: Parameter, data: SignedData) -> SignedData:
     """Representative with eta = +1 wherever the eta-flip is invisible."""
+    data.check_bounds(psi)
     eta = list(data.eta)
     for i, blk in enumerate(psi.blocks):
         if blk.eta_is_free_at(data.l[i]):
@@ -261,13 +265,40 @@ def sigma0_canonical(psi: Parameter, data: SignedData) -> SignedData:
 # Parameter-level transport
 # ---------------------------------------------------------------------------
 
+def _transports(psi: Parameter, from_order: AdmissibleOrder, to_order: AdmissibleOrder):
+    """Per fiber: the occurrences in both orders and the swaps from one to the
+    other, each listed ascending, and the target's (2A, 2B, zeta) records.
+
+    They depend only on the two orders, so each pair is compiled once and
+    kept on ``psi``.
+    """
+    key = (from_order, to_order)
+    compiled = psi._transports.get(key)
+    if compiled is None:
+        records = psi.records
+        target_rank = to_order._rank
+        fibers = []
+        for current, target in zip(from_order._fibers, to_order._fibers):
+            # Both fibers list greatest first; records are built ascending.
+            below, want = current[::-1], target[::-1]
+            schedule = tuple(swap_schedule([target_rank[occ] for occ in below]))
+            fibers.append((below, want, schedule, tuple(records[occ] for occ in want)))
+        compiled = psi._transports[key] = tuple(fibers)
+    return compiled
+
+
 def reorder(
     psi: Parameter,
     from_order: AdmissibleOrder,
     to_order: AdmissibleOrder,
     data: SignedData,
 ) -> SignedData:
-    """Transport (l, eta) from one admissible order to another."""
+    """Transport (l, eta) from one admissible order to another.
+
+    The bounds, both orders, every swap's conditions and the reached order
+    are checked on every call; only the swap positions are compiled once
+    per pair of orders.
+    """
     data.check_bounds(psi)
     if not is_admissible(from_order, psi):
         raise DataError("from_order is not admissible")
@@ -275,14 +306,10 @@ def reorder(
         raise DataError("to_order is not admissible")
     l = list(data.l)
     eta = list(data.eta)
-    records = psi.records
-    target_rank = to_order._rank
-    for current, target in zip(from_order._fibers, to_order._fibers):
-        # Both fibers list greatest first; records are built ascending.
-        below, want = current[::-1], target[::-1]
-        recs = transport(fiber_records(psi, below, l, eta), [target_rank[occ] for occ in below])
+    for below, want, schedule, skeleton in _transports(psi, from_order, to_order):
+        recs = swap_along(fiber_records(psi, below, l, eta), schedule)
         # The transported records must sit on the target's blocks.
-        if [rec[:3] for rec in recs] != [records[occ] for occ in want]:
+        if tuple([rec[:3] for rec in recs]) != skeleton:
             raise InvariantError("reorder did not reach the target order")
         for occ, rec in zip(want, recs):
             l[occ], eta[occ] = rec[3], rec[4]

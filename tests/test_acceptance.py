@@ -407,6 +407,49 @@ def test_order_invariance_bounded_exhaustive():
     assert _check_order_invariance(_small_fiber_parameters()) == (3380, 14672)
 
 
+def _ddr_parameters(count, seed):
+    """``count`` random parameters of 1-2 fibers with discrete diagonal
+    restriction in the natural order: 1-3 blocks a fiber, each fiber on the
+    integral or the half-integral lattice, each block's B above the A of the
+    block below it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        blocks = []
+        for f in range(rng.randint(1, 2)):
+            rho = RhoLabel(f"r{f}", "orthogonal", 1)
+            tB = 2 * rng.randint(0, 2) + rng.choice((0, 1))
+            for _ in range(rng.randint(1, 3)):
+                tA = tB + 2 * rng.randint(0, 4)
+                blocks.append(JordanBlock(rho, HalfInt(tA), HalfInt(tB), rng.choice((1, -1))))
+                tB = tA + 2 * rng.randint(1, 2)
+        yield Parameter(tuple(blocks))
+
+
+def _check_discrete_diagonal_restriction(parameters):
+    """Check that each packet is the whole quasisplit canonical grid: by
+    ``enumerate_packet`` in the natural order and by ``packet_size`` under
+    up to six admissible orders.  Returns the numbers of parameters, of
+    orders and of members checked."""
+    checked = orders_checked = members = 0
+    for psi in parameters:
+        grid = sorted(
+            (d for d in candidates(psi) if quasisplit_ok(psi, d)), key=lambda d: (d.l, d.eta)
+        )
+        engine = Engine()
+        assert enumerate_packet(psi, natural_order(psi), engine=engine) == grid, psi
+        for order in all_admissible_orders(psi, limit=6):
+            assert packet_size(psi, order, engine=engine) == len(grid), (psi, order)
+            orders_checked += 1
+        checked += 1
+        members += len(grid)
+    return checked, orders_checked, members
+
+
+def test_discrete_diagonal_restriction_keeps_the_whole_grid():
+    # CI runs 2 000 parameters.
+    assert _check_discrete_diagonal_restriction(_ddr_parameters(100, 0)) == (100, 219, 23056)
+
+
 def _candidate_filter(psi, order):
     """The packet point by point: every grid point that is quasisplit and
     nonvanishing, each decided on its own with the per-candidate engine call."""

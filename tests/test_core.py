@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 import time
@@ -224,6 +225,38 @@ def test_signed_data_rejects_non_integer_coordinates():
     ):
         with pytest.raises(DataError):
             Engine().decide(golden, order, SignedData(l, eta))
+
+
+class _Sign(enum.IntEnum):
+    PLUS = 1
+    MINUS = -1
+
+
+def test_signed_data_accept_set():
+    # Lists become tuples, and a tuple is kept as given.
+    data = SignedData([1, 0], [1, -1])
+    assert (type(data.l), type(data.eta)) == (tuple, tuple)
+    assert data == SignedData((1, 0), (1, -1))
+    l = (1, 0)
+    assert SignedData(l, (1, 1)).l is l
+    # bool and float entries, and eta 0 or 2, are refused.
+    for l, eta, message in (
+        ((True, 0), (1, 1), "l entries must be integers, got (True, 0)"),
+        ([1.0, 0], (1, 1), "l entries must be integers, got (1.0, 0)"),
+        ((0, 9.5), (1, 1), "l entries must be integers, got (0, 9.5)"),
+        ((1, 0), (True, 1), "eta entries must be +1/-1, got True"),
+        ((1, 0), (1, 1.0), "eta entries must be +1/-1, got 1.0"),
+        ((1, 0), (9.5, 1), "eta entries must be +1/-1, got 9.5"),
+        ((1, 0), (1, 0), "eta entries must be +1/-1, got 0"),
+        ((1, 0), (-1, 2), "eta entries must be +1/-1, got 2"),
+        ((1,), (1, 1), "l and eta must have the same length"),
+    ):
+        with pytest.raises(DataError) as exc:
+            SignedData(l, eta)
+        assert str(exc.value) == message, (l, eta)
+    # An int subclass other than bool is an integer.
+    data = SignedData((_Sign.PLUS, 0), (_Sign.MINUS, 1))
+    assert data == SignedData((1, 0), (-1, 1))
 
 
 def test_json_round_trip_with_counts_and_halfints():

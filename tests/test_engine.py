@@ -184,22 +184,29 @@ def test_memoization_is_consistent():
 
 
 class _Recording(Engine):
-    """An engine that traces every decision and keeps its fibers and verdict."""
+    """An engine that traces every decision and keeps its fibers and verdict.
+
+    The caller's canonicalization plans are passed through; ``planned``
+    counts the decisions that had them."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
+        self.planned = 0
 
-    def _decide_unchecked(self, fibers, collect_trace=False):
-        verdict = super()._decide_unchecked(fibers, True)
+    def _decide_unchecked(self, fibers, collect_trace=False, plans=None):
+        verdict = super()._decide_unchecked(fibers, True, plans)
         self.calls.append((fibers, verdict))
+        self.planned += plans is not None
         return verdict
 
 
 def _assert_stored_rules_are_neutral(shared):
-    """Replay each of a warm engine's decisions on a fresh engine, which
-    never stores a rule: same verdicts; the fresh memos together are the
-    warm memo; the fresh traces together hold the warm traces' steps."""
+    """Replay each of a warm engine's decisions without plans on a fresh
+    engine, which never stores a rule: same verdicts; the fresh memos
+    together are the warm memo; the fresh traces together hold the warm
+    traces' steps.  So stored rules and the packet plan's top-level plans
+    change nothing."""
     memo, steps = {}, set()
     for fibers, verdict in shared.calls:
         fresh = Engine()
@@ -220,6 +227,7 @@ def test_stored_rules_are_neutral_on_golden():
     shared = _Recording()
     psi, order = _golden()
     assert len(enumerate_packet(psi, order, engine=shared)) == 1651
+    assert shared.planned == len(shared.calls) > 0
     _assert_stored_rules_are_neutral(shared)
 
 
@@ -237,10 +245,12 @@ def test_stored_rules_are_neutral_on_criterion_5_and_oracle_shapes():
         rng.shuffle(orders)
         for order in orders[:3]:
             enumerate_packet(psi, order, engine=shared)
+    assert shared.planned == len(shared.calls) > 0
     _assert_stored_rules_are_neutral(shared)
     shared = _Recording()
     for shape in random_three_block_shapes(50, 12, 3):
         assert compare_three_block(*shape, engine=shared) == []
+    assert shared.planned == len(shared.calls) > 0
     _assert_stored_rules_are_neutral(shared)
 
 

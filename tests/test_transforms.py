@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from arthur_packets.core import (
     natural_order,
 )
 from arthur_packets.halfint import hi
+from arthur_packets.packets import enumerate_packet
 from arthur_packets.transforms import (
     TransformPreconditionError,
     reorder,
@@ -29,6 +31,7 @@ from arthur_packets.transforms import (
     transport,
     u_pair,
 )
+from test_acceptance import _random_parameter  # the criterion-5 generator
 
 RHO = RhoLabel("r", "orthogonal", 1)
 
@@ -294,6 +297,16 @@ def test_sigma0_canonical():
     assert sigma0_equiv(data, canon, psi)
 
 
+def test_sigma0_canonical_checks_bounds():
+    # Both blocks have d = 1, so l_max = 1.
+    psi = Parameter((blk(4, 3, 1), blk(3, 2, 1)))
+    with pytest.raises(DataError, match="^data length does not match"):
+        sigma0_canonical(psi, SignedData((1,), (1,)))
+    with pytest.raises(DataError) as exc:
+        sigma0_canonical(psi, SignedData((9, 9), (1, 1)))
+    assert str(exc.value) == "l[0]=9 out of range [0, 1] for block (A=4, B=3)"
+
+
 def test_reorder_round_trip_randomized():
     rng = random.Random(3)
     trials = 0
@@ -346,3 +359,28 @@ def test_reorder_checks_every_call():
         assert str(exc.value) == "l[2]=3 out of range [0, 2] for block (A=8, B=4)"
         with pytest.raises(DataError, match="data length"):
             reorder(psi, natural, swapped, SignedData((10, 10), (1, 1)))
+
+
+def test_compiled_transports_match_a_cold_parameter():
+    # reorder compiles each pair of orders once per parameter.  On one warm
+    # parameter, every ordered pair of its first four admissible orders
+    # moves packet members as on a fresh equal parameter, and back: every
+    # member of a small packet, about 50 spread over a large one.
+    rng = random.Random(99)
+    tested = moved = 0
+    while tested < 8:
+        psi = _random_parameter(rng)
+        orders = all_admissible_orders(psi, limit=4)
+        if len(orders) < 4:
+            continue
+        tested += 1
+        packs = {order: enumerate_packet(psi, order) for order in orders}
+        for a, b in itertools.permutations(orders, 2):
+            for data in packs[a][:: len(packs[a]) // 50 + 1]:
+                there = reorder(psi, a, b, data)
+                assert there == reorder(Parameter(psi.blocks), a, b, data), (psi, a, b, data)
+                back = reorder(psi, b, a, there)
+                assert sigma0_canonical(psi, back) == sigma0_canonical(psi, data)
+                moved += 1
+        assert len(psi._transports) == 12
+    assert moved == 3672
