@@ -21,7 +21,6 @@ SYMPLECTIC = "symplectic"
 GROUP_KINDS = ("Sp-even", "SO-odd", "SO-even")
 
 Sign = int  # +1 or -1
-_SIGNS = frozenset((1, -1))
 
 
 class ParameterError(ValueError):
@@ -39,11 +38,6 @@ class InvariantError(AssertionError):
 def _is_int(x) -> bool:
     """A plain integer: bool is an int subclass, but not a number here."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_int_type(t: type) -> bool:
-    """Whether ``_is_int`` holds for the instances of ``t``."""
-    return issubclass(t, int) and t is not bool
 
 
 def _check_sign(z, what: str) -> int:
@@ -195,6 +189,11 @@ class AdmissibleOrder:
         # Verdicts are cached by order, so 1.0 or True must not pass for 1.
         if not all(_is_int(occ) for t in self.per_rho for occ in t):
             raise DataError(f"order entries must be integers, got {self.per_rho!r}")
+        # Orders key the per-parameter caches, so the hash is computed once.
+        object.__setattr__(self, "_hash", hash(self.per_rho))
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def _fibers(self) -> Tuple[Tuple[int, ...], ...]:
@@ -235,16 +234,14 @@ class SignedData:
             object.__setattr__(self, "eta", eta)
         if len(l) != len(eta):
             raise DataError("l and eta must have the same length")
-        # Records are built from these, so 9.5, 1.0 or True must not pass:
-        # each entry type is checked once, then the eta values.
-        types = set(map(type, l))
-        types.update(map(type, eta))
-        if all(map(_is_int_type, types)) and _SIGNS.issuperset(eta):
-            return
-        if not all(map(_is_int, l)):
-            raise DataError(f"l entries must be integers, got {l!r}")
-        bad = next(e for e in eta if not (_is_int(e) and e in _SIGNS))
-        raise DataError(f"eta entries must be +1/-1, got {bad!r}")
+        # Records are built from these, so 9.5, 1.0 or True must not pass.
+        # A plain int is accepted on its type alone.
+        for x in l:
+            if type(x) is not int and not _is_int(x):
+                raise DataError(f"l entries must be integers, got {l!r}")
+        for e in eta:
+            if (type(e) is not int and not _is_int(e)) or (e != 1 and e != -1):
+                raise DataError(f"eta entries must be +1/-1, got {e!r}")
 
     def check_bounds(self, psi: Parameter) -> None:
         l_max = psi.l_max

@@ -14,8 +14,12 @@ canonicalization plan of the template (its sort schedule and invisible-eta
 positions, ``engine._plan``) is compiled with it and passed along: no choice
 works out a schedule again, and each still runs every swap and its checks.
 ``enumerate_packet`` is the product of the per-fiber member lists
-with sign product +1, sorted for determinism; ``packet_size`` only counts
-those products by sign.  This plan is the library's one member filter.
+with sign product +1, sorted for determinism: each fiber's members are split
+by sign, so only products that can still reach +1 are built (at the last
+fiber a row pairs only with members of its own sign), and the concatenated
+data are mapped back to occurrence order only when the fibers interleave.
+``packet_size`` only counts those products by sign.  This plan is the
+library's one member filter.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ if TYPE_CHECKING:
 # A fiber choice: the sign product of its blocks, then its l and eta on the
 # fiber's occurrences in ascending index order.
 Choice = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+# A fiber's members of one sign: (l, eta) on its occurrences, ascending.
+Member = Tuple[Tuple[int, ...], Tuple[int, ...]]
 # A fiber's records in ascending order of the fiber order, each as the
 # position of its (l, eta) in a choice and its (2A, 2B, zeta).
 Template = Tuple[Tuple[int, Tuple[int, int, int]], ...]
@@ -105,10 +111,17 @@ def _eval_chunk(args):
     return _fiber_members(template, plan, chunk, Engine(recursion_limit))
 
 
+def _reachable(k: int, n: int) -> Tuple[int, ...]:
+    """The sign products kept for products over fibers 0..k of ``n``: both
+    while a later fiber can complete either to +1, only +1 after the last."""
+    return (1,) if k == n - 1 else (1, -1)
+
+
 def _plan(
     psi: Parameter, order: Optional[AdmissibleOrder], jobs: int, engine: Optional[Engine]
-) -> Tuple[List[_Fiber], List[List[Choice]], Dict[int, int]]:
-    """The fibers, their member lists, and the member products' count per sign.
+) -> Tuple[List[_Fiber], List[Dict[int, List[Member]]], Dict[int, int]]:
+    """The fibers, their members split by sign, and the member products'
+    count per sign.
 
     A choice is decided only when members of the earlier fibers and choices
     of the later ones can complete its sign to +1.  Every block offers both
@@ -123,7 +136,7 @@ def _plan(
         raise DataError("order is not admissible")
     engine = engine or Engine()
     fibers = [_fiber(psi, fiber) for fiber in order.fibers()]
-    lists: List[List[Choice]] = []
+    lists: List[Dict[int, List[Member]]] = []
     counts = {1: 1, -1: 0}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -133,8 +146,8 @@ def _plan(
         context = nullcontext()
     with context as pool:
         for k, fib in enumerate(fibers):
-            later = (1,) if k == len(fibers) - 1 else (1, -1)
-            wanted = {s * t for s, n in counts.items() if n for t in later}
+            reach = _reachable(k, len(fibers))
+            wanted = {s * u for s, n in counts.items() if n for u in reach}
             choices = [c for c in fib.choices if c[0] in wanted]
             if pool is None or len(choices) <= 1:
                 kept = _fiber_members(fib.template, fib.plan, choices, engine)
@@ -145,12 +158,12 @@ def _plan(
                     for i in range(0, len(choices), size)
                 ]
                 kept = [c for part in pool.map(_eval_chunk, chunks) for c in part]
-            lists.append(kept)
-            plus = sum(1 for c in kept if c[0] == 1)
-            minus = len(kept) - plus
+            by_sign: Dict[int, List[Member]] = {1: [], -1: []}
+            for t, m, e in kept:
+                by_sign[t].append((m, e))
+            lists.append(by_sign)
             counts = {
-                1: counts[1] * plus + counts[-1] * minus,
-                -1: counts[1] * minus + counts[-1] * plus,
+                u: counts[1] * len(by_sign[u]) + counts[-1] * len(by_sign[-u]) for u in (1, -1)
             }
     return fibers, lists, counts
 
@@ -162,17 +175,29 @@ def enumerate_packet(
     engine: Optional[Engine] = None,
 ) -> List[SignedData]:
     fibers, lists, _ = _plan(psi, order, jobs, engine)
-    rows = [(1, (), ())]  # (sign, l, eta) over the fibers so far, concatenated
-    for kept in lists:
-        rows = [(s * t, l + m, eta + e) for s, l, eta in rows for t, m, e in kept]
-    # slots[i]: where occurrence i sits in the concatenated data.
+    # rows[u]: (l, eta) over the fibers so far, concatenated, with sign product u.
+    rows = {1: [((), ())], -1: []}
+    for k, by_sign in enumerate(lists):
+        rows = {
+            u: [
+                (l + m, eta + e)
+                for s, part in rows.items()
+                for l, eta in part
+                for m, e in by_sign[s * u]
+            ]
+            for u in _reachable(k, len(lists))
+        }
+    members = rows[1]
     concatenated = [occ for fib in fibers for occ in fib.occurrences]
-    slots = sorted(range(len(concatenated)), key=concatenated.__getitem__)
-    members = sorted(
-        (tuple(map(l.__getitem__, slots)), tuple(map(eta.__getitem__, slots)))
-        for s, l, eta in rows
-        if s == 1
-    )
+    if concatenated != list(range(len(concatenated))):
+        # The fibers interleave; slots[i]: where occurrence i sits in the
+        # concatenated data.
+        slots = sorted(range(len(concatenated)), key=concatenated.__getitem__)
+        members = [
+            (tuple(map(l.__getitem__, slots)), tuple(map(eta.__getitem__, slots)))
+            for l, eta in members
+        ]
+    members.sort()
     return [SignedData(l, eta) for l, eta in members]
 
 

@@ -16,9 +16,11 @@ in which both the decision engine and ``reorder`` move (l, eta).  It is
 keys alone, so a caller that sorts the same keys again can keep the schedule.
 ``reorder`` is the one Parameter-level transport: a single adjacent swap is
 ``reorder`` to the order with that pair exchanged.  Its schedules depend only
-on the two orders, so the first call for a pair of orders compiles them, per
-fiber, on the parameter; every call still checks the bounds, both orders,
-each swap's conditions and the order it reached.
+on the two orders, so the first call for a pair of orders compiles them on
+the parameter, for each fiber whose order changes; a fiber in the same order
+in both has no swap and keeps its (l, eta).  Every call still checks the
+bounds, both orders, each swap's conditions and the order each moving fiber
+reached.
 """
 
 from __future__ import annotations
@@ -266,8 +268,10 @@ def sigma0_canonical(psi: Parameter, data: SignedData) -> SignedData:
 # ---------------------------------------------------------------------------
 
 def _transports(psi: Parameter, from_order: AdmissibleOrder, to_order: AdmissibleOrder):
-    """Per fiber: the occurrences in both orders and the swaps from one to the
-    other, each listed ascending, and the target's (2A, 2B, zeta) records.
+    """Per fiber whose order differs between the two orders: the occurrences
+    in both orders and the swaps from one to the other, each listed
+    ascending, and the target's (2A, 2B, zeta) records.  A fiber in the same
+    order in both leaves its (l, eta) as they are.
 
     They depend only on the two orders, so each pair is compiled once and
     kept on ``psi``.
@@ -279,6 +283,9 @@ def _transports(psi: Parameter, from_order: AdmissibleOrder, to_order: Admissibl
         target_rank = to_order._rank
         fibers = []
         for current, target in zip(from_order._fibers, to_order._fibers):
+            if current == target:
+                # No swap, and its records already sit on the target's blocks.
+                continue
             # Both fibers list greatest first; records are built ascending.
             below, want = current[::-1], target[::-1]
             schedule = tuple(swap_schedule([target_rank[occ] for occ in below]))
@@ -295,9 +302,9 @@ def reorder(
 ) -> SignedData:
     """Transport (l, eta) from one admissible order to another.
 
-    The bounds, both orders, every swap's conditions and the reached order
-    are checked on every call; only the swap positions are compiled once
-    per pair of orders.
+    The bounds, both orders, every swap's conditions and the order reached
+    by each fiber that moves are checked on every call; only the swap
+    positions are compiled once per pair of orders.
     """
     data.check_bounds(psi)
     if not is_admissible(from_order, psi):

@@ -498,6 +498,43 @@ def test_fiber_plan_matches_the_candidate_filter():
             assert packet_size(psi, order, jobs=j) == len(want), (psi, order, j)
 
 
+def _three_fiber_parameters(count, seed):
+    """``count`` random parameters on three rhos of 1-2 blocks each, each
+    fiber on the integral or the half-integral lattice.  Every second one has
+    its blocks shuffled, so that its fibers usually interleave in the
+    occurrence indices."""
+    rng = random.Random(seed)
+    for k in range(count):
+        blocks = []
+        for f in range(3):
+            rho = RhoLabel(f"r{f}", "orthogonal", 1)
+            half = rng.choice((0, 1))
+            for _ in range(rng.randint(1, 2)):
+                tB = 2 * rng.randint(0, 3) + half
+                tA = tB + 2 * rng.randint(0, 3)
+                blocks.append(JordanBlock(rho, HalfInt(tA), HalfInt(tB), rng.choice((1, -1))))
+        if k % 2:
+            rng.shuffle(blocks)
+        yield Parameter(tuple(blocks))
+
+
+def test_three_fiber_plan_matches_the_candidate_filter():
+    # A middle fiber keeps choices of both signs, and the member products
+    # are built per sign; interleaved fibers are laid out through the slots.
+    checked = interleaved = orders_checked = members = 0
+    for psi in _three_fiber_parameters(40, 5):
+        checked += 1
+        concatenated = list(itertools.chain(*psi.fibers().values()))
+        interleaved += concatenated != list(range(len(psi)))
+        for order in all_admissible_orders(psi, limit=2):
+            want = _candidate_filter(psi, order)
+            assert enumerate_packet(psi, order) == want, (psi, order)
+            assert packet_size(psi, order) == len(want), (psi, order)
+            orders_checked += 1
+            members += len(want)
+    assert (checked, interleaved, orders_checked, members) == (40, 16, 74, 19050)
+
+
 # ---------------------------------------------------------------------------
 # Criterion 6: character identity under reorder
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import os
 import random
@@ -74,6 +75,28 @@ def test_good_shape_examples():
     assert not _in_good_shape(psi, order)
     opp = Parameter((blk(1000, 995, -1), blk(2, 0, 1)))
     assert _in_good_shape(opp, AdmissibleOrder(((0, 1),)))
+
+
+def _good_shape_search():
+    path = Path(__file__).resolve().parents[1] / "tools" / "good_shape_search.py"
+    spec = importlib.util.spec_from_file_location("good_shape_search", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_good_shape_separation_variants_change_no_verdict():
+    # tools/good_shape_search.py on a narrow bound: a separation test one
+    # step stricter below a chunk, or laxer above it, answers otherwise on
+    # some skeletons but changes no verdict on their grid points.
+    search = _good_shape_search()
+    found = {
+        name: tuple(search.search(good, (2, 3, 4), 6)) for name, good in search.variants().items()
+    }
+    assert found == {"strict": (26840, 584, 9404, 0), "lax": (26840, 16, 288, 0)}
+    # The search sees a changed verdict: stopping on every fiber changes some.
+    assert tuple(search.search(lambda recs: True, (2,), 4)) == (168, 68, 540, 150)
+    assert search.engine_module._good_shape is _good_shape
 
 
 def test_pull_gate_is_the_s_plus_condition():

@@ -348,17 +348,22 @@ def test_reorder_checks_every_call():
     out_of_range = SignedData((10, 10, 3), (1, 1, 1))
     for _ in range(2):
         assert reorder(psi, natural, swapped, data) == SignedData((10, 10, 2), (-1, -1, 1))
+        # No fiber moves, so nothing is swapped; the checks still run.
+        assert reorder(psi, natural, natural, data) == data
         with pytest.raises(DataError, match="^from_order is not admissible$"):
             reorder(psi, bad, swapped, data)
+        with pytest.raises(DataError, match="^from_order is not admissible$"):
+            reorder(psi, bad, bad, data)
         with pytest.raises(DataError, match="^to_order is not admissible$"):
             reorder(psi, natural, bad, data)
         with pytest.raises(DataError, match="does not cover"):
             reorder(psi, natural, short, data)
-        with pytest.raises(DataError) as exc:
-            reorder(psi, natural, swapped, out_of_range)
-        assert str(exc.value) == "l[2]=3 out of range [0, 2] for block (A=8, B=4)"
-        with pytest.raises(DataError, match="data length"):
-            reorder(psi, natural, swapped, SignedData((10, 10), (1, 1)))
+        for target in (swapped, natural):
+            with pytest.raises(DataError) as exc:
+                reorder(psi, natural, target, out_of_range)
+            assert str(exc.value) == "l[2]=3 out of range [0, 2] for block (A=8, B=4)"
+            with pytest.raises(DataError, match="data length"):
+                reorder(psi, natural, target, SignedData((10, 10), (1, 1)))
 
 
 def test_compiled_transports_match_a_cold_parameter():
@@ -384,3 +389,64 @@ def test_compiled_transports_match_a_cold_parameter():
                 moved += 1
         assert len(psi._transports) == 12
     assert moved == 3672
+
+
+def test_reorder_moves_only_the_fiber_whose_order_changes():
+    # Two orders that agree on one fiber and differ on the other: the
+    # agreeing fiber keeps its (l, eta), the other moves as on a parameter
+    # of its blocks alone, the image is a member of the target packet, and
+    # a fresh equal parameter moves it the same way.
+    rng = random.Random(5)
+    tested = moved = 0
+    while tested < 8:
+        psi = _random_parameter(rng)
+        fibers = list(psi.fibers().values())
+        orders = all_admissible_orders(psi, limit=50)
+        pairs = [
+            (a, b)
+            for a, b in itertools.permutations(orders, 2)
+            if sum(x != y for x, y in zip(a.per_rho, b.per_rho)) == 1
+        ]
+        if len(fibers) < 2 or not pairs:
+            continue
+        tested += 1
+        a, b = rng.choice(pairs)
+        k = next(i for i, (x, y) in enumerate(zip(a.per_rho, b.per_rho)) if x != y)
+        occurrences = fibers[k]
+        slot = {occ: i for i, occ in enumerate(occurrences)}
+        alone = Parameter(tuple(psi.blocks[occ] for occ in occurrences))
+        a1, b1 = (AdmissibleOrder(([slot[occ] for occ in o.per_rho[k]],)) for o in (a, b))
+        target = {sigma0_canonical(psi, d) for d in enumerate_packet(psi, b)}
+        for data in enumerate_packet(psi, a):
+            there = reorder(psi, a, b, data)
+            assert there == reorder(Parameter(psi.blocks), a, b, data), (psi, a, b, data)
+            assert sigma0_canonical(psi, there) in target, (psi, a, b, data)
+            part = reorder(
+                alone,
+                a1,
+                b1,
+                SignedData([data.l[occ] for occ in occurrences], [data.eta[occ] for occ in occurrences]),
+            )
+            for i in range(len(psi)):
+                want = (part.l[slot[i]], part.eta[slot[i]]) if i in slot else (data.l[i], data.eta[i])
+                assert (there.l[i], there.eta[i]) == want, (psi, a, b, data)
+            moved += 1
+        assert len(psi._transports[(a, b)]) == 1
+    assert moved == 6728
+
+
+def test_equal_orders_share_the_cached_entries():
+    # An order built from lists equals and hashes as one built from tuples,
+    # so both find the same admissibility verdict and compiled transport.
+    psi = Parameter(
+        (blk(5, 1, 1), JordanBlock(RhoLabel("s"), hi(4), hi(2), -1), blk(3, 0, -1), blk(2, 2, 1))
+    )
+    listed = AdmissibleOrder([[0, 2, 3], [1]])
+    tupled = AdmissibleOrder(((0, 2, 3), (1,)))
+    other = AdmissibleOrder([[2, 0, 3], [1]])
+    assert listed == tupled and hash(listed) == hash(tupled)
+    data = SignedData((1, 0, 1, 0), (1, -1, 1, 1))
+    there = reorder(psi, listed, other, data)
+    assert reorder(psi, tupled, AdmissibleOrder(((2, 0, 3), (1,))), data) == there
+    assert list(psi._admissible) == [listed, other]
+    assert list(psi._transports) == [(listed, other)]
