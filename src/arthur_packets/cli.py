@@ -9,6 +9,7 @@ exceptions; ``main`` maps them to codes through the one table ``_EXIT_CODES``.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from typing import Optional
 
@@ -99,10 +100,17 @@ def _reject_ignored(names, path: str) -> None:
         _fail(EXIT_PARSE, f"{path} does not use {' or '.join(given)}")
 
 
+def _int(text: str) -> int:
+    """Only ``[+-]?[0-9]+``: ``int`` alone also reads ``1_0`` and non-ASCII digits."""
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip(" ")) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
     try:
         fibers = [
-            tuple(int(x) for x in part.split(",") if x.strip() != "")
+            tuple(_int(x) for x in part.split(",") if x.strip() != "")
             for part in text.split(";")
             if part.strip() != ""
         ]
@@ -116,8 +124,8 @@ def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
 
 def _parse_data(l_text: str, eta_text: str) -> SignedData:
     try:
-        l = tuple(int(x) for x in l_text.split(","))
-        eta = tuple(int(x) for x in eta_text.split(","))
+        l = tuple(map(_int, l_text.split(",")))
+        eta = tuple(map(_int, eta_text.split(",")))
     except (ValueError, AttributeError):
         _fail(EXIT_PARSE, "--l and --eta must be comma-separated integers")
     return SignedData(l, eta)

@@ -67,14 +67,14 @@ def compare_three_block(A1, B1, A2, B2, A3, B3, engine: Optional[Engine] = None)
     """
     psi, order = three_block_parameter(A1, B1, A2, B2, A3, B3)
     members = {(d.l, d.eta) for d in enumerate_packet(psi, order, engine=engine)}
-    twice_free = [A - B + 1 for A, B in ((A3, B3), (A2, B2), (A1, B1))]
+    # Each block's invisible l: (A - B + 1) / 2 where A - B is odd, else none (-1).
+    v1, v2, v3 = [(d + 1) // 2 if d % 2 else -1 for d in (A1 - B1, A2 - B2, A3 - B3)]
     mismatches = []
     for point in three_block_grid(A1, B1, A2, B2, A3, B3):
         l1, e1, l2, e2, l3, e3 = point
         want = oracle_three_block(A1, B1, A2, B2, A3, B3, *point)
-        l = (l3, l2, l1)
-        eta = tuple(1 if 2 * li == f else e for li, f, e in zip(l, twice_free, (e3, e2, e1)))
-        got = (l, eta) in members
+        eta = (1 if l3 == v3 else e3, 1 if l2 == v2 else e2, 1 if l1 == v1 else e1)
+        got = ((l3, l2, l1), eta) in members
         if got != want:
             mismatches.append((point, want, got))
     return mismatches

@@ -9,9 +9,9 @@ applies, and where, depends only on the fiber's skeleton (tA, tB, zeta), so
 skeleton's half, reading only (tA, tB, zeta), and ``_apply`` runs every data
 check on the records.
 ``Engine`` walks that conjunction tree on an explicit stack, memoizing every
-verdict, until every remaining piece is in good shape; after its first
-decision it computes each skeleton's rule once.  Good shape is a stop
-rule: its pair chunks are adjacent same-zeta pairs, whose basic condition the
+verdict, until every remaining piece is in good shape; a subproblem of 0 or
+1 record always is, so the walk never opens one.  Good shape is a stop rule:
+its pair chunks are adjacent same-zeta pairs, whose basic condition the
 kernel's fast fail has already checked.
 
 A rewrite step is ``(kind, after, ok)``: its kind, the records of its
@@ -27,8 +27,8 @@ Internally a fiber is a tuple of records (tA, tB, zeta, l, eta) listed in
 ascending order (index 0 = least block), with tA, tB doubled coordinates.
 ``decide`` validates its ``(psi, order, data)`` and builds those records;
 ``_decide_unchecked`` takes them directly, as the packet plan does, with
-each fiber's canonicalization plan (``_plan``) when the caller knows its
-skeleton in advance.
+each fiber's canonicalization plan (``_plan``, which also names the canonical
+skeleton it sorts to) when the caller knows its skeleton in advance.
 """
 
 from __future__ import annotations
@@ -75,15 +75,11 @@ _HOLDS = Verdict(True)
 _VANISHES = Verdict(False)
 
 
-def _d(rec: Rec) -> int:
-    return (rec[0] - rec[1]) // 2
-
-
 def basic_ok(lower: Rec, upper: Rec) -> bool:
     """The two-block condition for a comparable pair (upper dominates lower)."""
     tA1, tB1, _z1, l1, e1 = lower
     tA2, tB2, _z2, l2, e2 = upper
-    if e2 == _sgn_pow(_d(lower)) * e1:
+    if e2 == _sgn_pow((tA1 - tB1) // 2) * e1:
         return tA2 - 2 * l2 >= tA1 - 2 * l1 and tB2 + 2 * l2 >= tB1 + 2 * l1
     return tB2 + 2 * l2 > tA1 - 2 * l1
 
@@ -171,9 +167,9 @@ if TYPE_CHECKING:
     # (checks, kind, arg); see ``_rule``.
     Rule = Tuple[List[Tuple[int, bool, int, int]], str, Union[range, int, str, None]]
     # How to canonicalize a subproblem of a known skeleton: its sort
-    # schedule and its (position, l) pairs where eta is invisible (A - B
-    # odd, l maximal).
-    Plan = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
+    # schedule, its (position, l) pairs where eta is invisible (A - B odd,
+    # l maximal) and the canonical skeleton that the schedule sorts to.
+    Plan = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], Skeleton]
 
 
 def _rule(fiber: Sequence[Rec]) -> Rule:
@@ -301,30 +297,33 @@ def rewrite(seq: Tuple[Rec, ...]) -> Tuple[Optional[ReductionStep], bool]:
 
 def _plan(recs: Sequence[Rec]) -> Plan:
     """The plan that canonicalizes ``recs``, and every fiber of their skeleton."""
-    keys = [(rec[0], rec[1]) for rec in recs]
+    # The stable sort that the schedule performs, on the skeleton.
+    skeleton = tuple(sorted([rec[:3] for rec in recs], key=lambda s: s[:2]))
     free = tuple(
-        (i, (tA - tB + 2) // 4) for i, (tA, tB) in enumerate(sorted(keys)) if (tA - tB) % 4 == 2
+        (i, (tA - tB + 2) // 4) for i, (tA, tB, _z) in enumerate(skeleton) if (tA - tB) % 4 == 2
     )
-    return tuple(swap_schedule(keys)), free
+    return tuple(swap_schedule([rec[:2] for rec in recs])), free, skeleton
 
 
 class Engine:
     """Decides fibers, memoizing every verdict by canonical fiber.
 
     A rule is a pure function of the canonical skeleton, so from its second
-    top-level decision on an engine stores every rule it computes, each with
-    its subproblems' plans (their skeletons follow from the parent's).  Its
-    first decision stores none: an engine that decides one fiber would only
-    pay for them in memory.  The measure decrease is checked on each step
-    whose rule is not stored, and on a stored rule's first step, which fills
-    its plans whatever that step's verdict.
+    top-level decision on an engine stores every rule it computes under it,
+    with the plans of its subproblems that can fail (2 or more records); a
+    plan names the canonical skeleton to read a rule under.  Its first
+    decision stores none: an engine that decides one fiber would only pay
+    for them in memory.  The measure decrease is checked on each step whose
+    rule is not stored, and on a stored rule's first step, which fills its
+    plans whatever that step's verdict.
     """
 
     def __init__(self, recursion_limit: int = 10000):
         self.recursion_limit = recursion_limit
         self._memo = {}
         self._steps = 0
-        # skeleton -> [rule, subproblem plans or None until first emitted]
+        # canonical skeleton -> [rule, None until the rule's first step, then
+        # the (index, plan) of each of that step's subproblems that can fail]
         self._rules: Dict[Skeleton, list] = {}
         self._decisions = 0
 
@@ -351,20 +350,6 @@ class Engine:
                     work[i] = (rec[0], rec[1], rec[2], l, 1)
         return tuple(work)
 
-    def _rule_of(self, canon: Tuple[Rec, ...]):
-        """The rule of a canonical fiber and its stored entry, if any.
-
-        Nothing is stored in an engine's first decision; after it, each
-        skeleton's rule is computed once and stored.
-        """
-        if self._decisions == 1:
-            return _rule(canon), None
-        skeleton = tuple([rec[:3] for rec in canon])
-        stored = self._rules.get(skeleton)
-        if stored is None:
-            stored = self._rules[skeleton] = [_rule(canon), None]
-        return stored[0], stored
-
     # -- fiber decision ---------------------------------------------------
 
     def _fiber_decide(
@@ -378,7 +363,7 @@ class Engine:
         steps this walk takes.
         """
         self._decisions += 1
-        stack: List[Tuple[Tuple[Rec, ...], Iterator]] = []
+        stack: List[Tuple[Tuple[Rec, ...], tuple, Iterator]] = []
         pending = seq
         while True:
             try:
@@ -388,20 +373,27 @@ class Engine:
             else:
                 verdict = self._memo.get(canon)
                 if verdict is None:
-                    rule, stored = self._rule_of(canon)
-                    kind, after, verdict = _apply(rule, canon)
-                    plans = repeat(None)
+                    if self._decisions == 1:
+                        stored = [_rule(canon), None]
+                    else:
+                        skeleton = plan[2] if plan else tuple([rec[:3] for rec in canon])
+                        stored = self._rules.get(skeleton)
+                        if stored is None:
+                            stored = self._rules[skeleton] = [_rule(canon), None]
+                    kind, after, verdict = _apply(stored[0], canon)
                     if kind is not None:
-                        if stored is not None and stored[1] is not None:
-                            plans = stored[1]
-                        elif not decreases(canon, after):
-                            step = ReductionStep(kind, canon, after)
-                            raise InvariantError(
-                                f"termination measure failed to decrease on {kind}: "
-                                f"{step.measure_before} -> {step.measure_after}"
+                        if stored[1] is None:
+                            if not decreases(canon, after):
+                                step = ReductionStep(kind, canon, after)
+                                raise InvariantError(
+                                    f"termination measure failed to decrease on {kind}: "
+                                    f"{step.measure_before} -> {step.measure_after}"
+                                )
+                            stored[1] = tuple(
+                                (i, None if self._decisions == 1 else _plan(sub))
+                                for i, sub in enumerate(after)
+                                if len(sub) > 1
                             )
-                        elif stored is not None:
-                            plans = stored[1] = tuple(map(_plan, after))
                         self._steps += 1
                         if self._steps > self.recursion_limit:
                             raise RecursionLimitError(
@@ -409,13 +401,13 @@ class Engine:
                             )
                         if trace is not None:
                             trace.append(ReductionStep(kind, canon, after))
-                    stack.append((canon, zip(after, plans)))
+                    stack.append((canon, after, iter(stored[1] if kind else ())))
             # Hand the verdict up: open the next subproblem or close the frame.
             while stack:
-                canon, subs = stack[-1]
+                canon, after, subs = stack[-1]
                 sub = next(subs, None) if verdict else None
                 if sub is not None:
-                    pending, plan = sub
+                    pending, plan = after[sub[0]], sub[1]
                     break
                 stack.pop()
                 self._memo[canon] = verdict
@@ -449,8 +441,8 @@ class Engine:
         records in ascending order; nothing is validated here.
 
         ``plans``, aligned with ``fibers``, holds each fiber's ``_plan``
-        when its skeleton is known in advance, as in the packet plan, so
-        that canonicalizing it computes no sort schedule.
+        when its skeleton is known in advance, as in the packet plan: then
+        canonicalizing it computes no sort schedule and no skeleton.
         """
         trace: Optional[list] = [] if collect_trace else None
         self._steps = 0

@@ -129,6 +129,32 @@ def test_parse_errors_exit_two(tmp_path):
     assert res.stderr == "error: --all-orders checks at most 500 orders; this parameter has more\n"
 
 
+def test_integer_lists_take_only_ascii_digits():
+    # ``int`` would read "1_0" as 10 and "٢" (an Arabic-Indic digit) as 2.
+    data = ["--l", "10,10,2", "--eta", "1,1,1"]
+    for l, eta in (("1_0,10,2", "1,1,1"), ("10,10,٢", "1,1,1"), ("10,10,2", "1,1,1_"),
+                   ("10,10,2", "1,1,+-1"), ("10,10,2.0", "1,1,1"), ("10,10,2", "1,1,")):
+        res = runner.invoke(main, ["decide", "--example", "moeglin-s8", "--l", l, "--eta", eta])
+        assert res.exit_code == 2, (l, eta, res.output)
+        assert res.stderr == "error: --l and --eta must be comma-separated integers\n"
+    for text in ("0,1_0,2", "0,1,٢", "0;1,٢"):
+        res = runner.invoke(main, ["decide", "--example", "moeglin-s8", "--order", text] + data)
+        assert res.exit_code == 2, (text, res.output)
+        assert res.stderr.startswith(f"error: malformed order {text!r}: ")
+    for flag in ("--from-order", "--to-order"):
+        orders = {"--from-order": "0,1,2", "--to-order": "1,0,2", flag: "1,0,٢"}
+        args = ["reorder", "--example", "moeglin-s8"] + [x for kv in orders.items() for x in kv]
+        res = runner.invoke(main, args + data)
+        assert res.exit_code == 2, (flag, res.output)
+        assert res.stderr == "error: malformed order '1,0,٢': invalid literal for int() with base 10: '٢'\n"
+    # Spaces around an entry and an explicit sign are still accepted.
+    res = runner.invoke(
+        main, ["decide", "--example", "moeglin-s8", "--order", " 0 , +1,2",
+               "--l", " 10,+10 , 2", "--eta", "+1, 1,1 "]
+    )
+    assert (res.exit_code, res.output) == (0, "NONVANISHING\n")
+
+
 def test_recursion_limit_exit_four():
     res = runner.invoke(
         main,

@@ -359,6 +359,20 @@ def test_decrease_is_checked_once_per_stored_rule(monkeypatch):
     assert len(checked) == sum(stored[1] is not None for stored in shared._rules.values())
 
 
+def test_stored_rules_are_keyed_by_canonical_skeleton():
+    # A subproblem reads its stored rule under the skeleton its plan sorts
+    # to, so every key is a canonical skeleton ((2A, 2B) never decreases),
+    # and every stored subproblem plan names a key: none is stored twice.
+    shared = Engine()
+    assert len(enumerate_packet(*_golden(), engine=shared)) == 1651
+    for shape in random_three_block_shapes(210, 12, 0):
+        assert compare_three_block(*shape, engine=shared) == []
+    for skeleton in shared._rules:
+        assert all(lo[:2] <= up[:2] for lo, up in zip(skeleton, skeleton[1:])), skeleton
+    subs = [sub for _, subs in shared._rules.values() if subs for sub in subs]
+    assert subs and all(len(plan[2]) > 1 and plan[2] in shared._rules for _, plan in subs)
+
+
 def test_reduction_steps_are_built_only_for_a_trace(monkeypatch):
     made = []
     new = ReductionStep.__new__

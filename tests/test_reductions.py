@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -245,3 +246,19 @@ def test_rewrite_contract():
         assert _verdict(step.before) == holds, step
         assert rewrite(step.before) == (step, ok)
     assert kinds == {"PullUnequal", "PullEqual", "Expand", "ChangeSignIntegral", "ChangeSignHalf"}
+
+
+def test_fibers_of_at_most_one_record_hold_without_a_step():
+    # Why the engine never opens a subproblem of 0 or 1 record: the kernel
+    # takes no step on it and its verdict is True.  Every canonical record
+    # with 2A <= 12 on either lattice, either zeta and every (l, eta).
+    assert rewrite(()) == (None, True)
+    fibers = 0
+    for tA in range(13):
+        for tB in range(tA % 2, tA + 1, 2):
+            for zeta, l, eta in itertools.product((1, -1), range((tA - tB + 2) // 4 + 1), (1, -1)):
+                if eta == -1 and 4 * l == tA - tB + 2:
+                    continue  # eta is invisible: the canonical fiber has +1
+                assert rewrite(((tA, tB, zeta, l, eta),)) == (None, True)
+                fibers += 1
+    assert fibers == 378
