@@ -109,11 +109,7 @@ def _int(text: str) -> int:
 
 def _parse_order(text: str, psi: Parameter) -> AdmissibleOrder:
     try:
-        fibers = [
-            tuple(_int(x) for x in part.split(",") if x.strip() != "")
-            for part in text.split(";")
-            if part.strip() != ""
-        ]
+        fibers = [tuple(map(_int, part.split(","))) for part in text.split(";")]
         order = AdmissibleOrder(tuple(fibers))
     except ValueError as exc:
         _fail(EXIT_PARSE, f"malformed order {text!r}: {exc}")

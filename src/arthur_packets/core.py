@@ -121,14 +121,21 @@ class Parameter:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        seen: Dict[str, RhoLabel] = {}
+        # rho id -> its label and whether its blocks are half-integral
+        seen: Dict[str, Tuple[RhoLabel, int]] = {}
         for blk in self.blocks:
             if not isinstance(blk, JordanBlock):
                 raise ParameterError(f"not a JordanBlock: {blk!r}")
-            prev = seen.setdefault(blk.rho.id, blk.rho)
+            prev, half = seen.setdefault(blk.rho.id, (blk.rho, blk.A.twice % 2))
             if prev != blk.rho:
                 raise ParameterError(
                     f"rho id {blk.rho.id!r} used with conflicting parity/dim"
+                )
+            # One lattice per fiber, as the engine's rules assume (under a
+            # group kind, the parity audit below implies it too).
+            if half != blk.A.twice % 2:
+                raise ParameterError(
+                    f"rho {blk.rho.id!r} has both integral and half-integral blocks"
                 )
         if self.group_kind is not None:
             if self.group_kind not in GROUP_KINDS:

@@ -64,17 +64,26 @@ def compare_three_block(A1, B1, A2, B2, A3, B3, engine: Optional[Engine] = None)
     Each grid point's oracle verdict is compared with whether its canonical
     representative (eta = +1 where 2l = A - B + 1) is a member of
     ``enumerate_packet``, so the check runs the packet plan's own filters.
+    The member set holds every grid point that a member stands for: both
+    etas where l is invisible, none for an eta of -1 there.
     """
     psi, order = three_block_parameter(A1, B1, A2, B2, A3, B3)
-    members = {(d.l, d.eta) for d in enumerate_packet(psi, order, engine=engine)}
     # Each block's invisible l: (A - B + 1) / 2 where A - B is odd, else none (-1).
     v1, v2, v3 = [(d + 1) // 2 if d % 2 else -1 for d in (A1 - B1, A2 - B2, A3 - B3)]
+    both = (1, -1)
+    members = set()
+    for d in enumerate_packet(psi, order, engine=engine):
+        (l3, l2, l1), (e3, e2, e1) = d.l, d.eta
+        if (l1 == v1 and e1 < 0) or (l2 == v2 and e2 < 0) or (l3 == v3 and e3 < 0):
+            continue
+        for f1 in both if l1 == v1 else (e1,):
+            for f2 in both if l2 == v2 else (e2,):
+                for f3 in both if l3 == v3 else (e3,):
+                    members.add((l1, f1, l2, f2, l3, f3))
     mismatches = []
     for point in three_block_grid(A1, B1, A2, B2, A3, B3):
-        l1, e1, l2, e2, l3, e3 = point
         want = oracle_three_block(A1, B1, A2, B2, A3, B3, *point)
-        eta = (1 if l3 == v3 else e3, 1 if l2 == v2 else e2, 1 if l1 == v1 else e1)
-        got = ((l3, l2, l1), eta) in members
+        got = point in members
         if got != want:
             mismatches.append((point, want, got))
     return mismatches

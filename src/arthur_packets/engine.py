@@ -50,7 +50,7 @@ from .reductions import ReductionStep, change_sign, decreases, expand_amount
 from .transforms import (
     Rec,
     TransformPreconditionError,
-    _sgn_pow,
+    _SIGN,
     fiber_records,
     sup_condition_ok,
     swap_along,
@@ -79,7 +79,7 @@ def basic_ok(lower: Rec, upper: Rec) -> bool:
     """The two-block condition for a comparable pair (upper dominates lower)."""
     tA1, tB1, _z1, l1, e1 = lower
     tA2, tB2, _z2, l2, e2 = upper
-    if e2 == _sgn_pow((tA1 - tB1) // 2) * e1:
+    if e2 == _SIGN[((tA1 - tB1) // 2) & 1] * e1:
         return tA2 - 2 * l2 >= tA1 - 2 * l1 and tB2 + 2 * l2 >= tB1 + 2 * l1
     return tB2 + 2 * l2 > tA1 - 2 * l1
 
@@ -342,6 +342,9 @@ class Engine:
             for i, rec in enumerate(work):
                 if 4 * rec[3] == rec[0] - rec[1] + 2:
                     work[i] = (rec[0], rec[1], rec[2], rec[3], 1)
+        elif not (plan[0] or plan[1]):
+            # Nothing to swap and no eta that can be invisible.
+            return tuple(seq)
         else:
             work = swap_along(seq, plan[0])
             for i, l in plan[1]:
@@ -357,12 +360,16 @@ class Engine:
     ) -> bool:
         """Decide a fiber by a depth-first walk of the rewrites' conjunctions.
 
-        ``plan``, when given, is ``_plan`` of the fiber's skeleton.  A stack
-        frame closes, memoized, once a subproblem fails or all hold.  Memo
-        hits are reused with or without a trace, so a trace lists only the
-        steps this walk takes.
+        ``plan``, when given, is ``_plan`` of the fiber's skeleton.  A node
+        with nothing to open (no step, a failed step, or a step whose
+        subproblems all have at most one record) is memoized where it is
+        decided; a stack frame is pushed only to open a subproblem, and
+        closes, memoized, once a subproblem fails or all hold.  Memo hits
+        are reused with or without a trace, so a trace lists only the steps
+        this walk takes.
         """
         self._decisions += 1
+        memo = self._memo
         stack: List[Tuple[Tuple[Rec, ...], tuple, Iterator]] = []
         pending = seq
         while True:
@@ -371,7 +378,7 @@ class Engine:
             except TransformPreconditionError:
                 verdict = False
             else:
-                verdict = self._memo.get(canon)
+                verdict = memo.get(canon)
                 if verdict is None:
                     if self._decisions == 1:
                         stored = [_rule(canon), None]
@@ -401,7 +408,14 @@ class Engine:
                             )
                         if trace is not None:
                             trace.append(ReductionStep(kind, canon, after))
-                    stack.append((canon, after, iter(stored[1] if kind else ())))
+                        if verdict and stored[1]:
+                            # Open the first subproblem at once.
+                            subs = iter(stored[1])
+                            i, plan = next(subs)
+                            stack.append((canon, after, subs))
+                            pending = after[i]
+                            continue
+                    memo[canon] = verdict
             # Hand the verdict up: open the next subproblem or close the frame.
             while stack:
                 canon, after, subs = stack[-1]
@@ -410,7 +424,7 @@ class Engine:
                     pending, plan = after[sub[0]], sub[1]
                     break
                 stack.pop()
-                self._memo[canon] = verdict
+                memo[canon] = verdict
             else:
                 return verdict
 

@@ -61,24 +61,25 @@ def oracle_three_block(
     the order 3 > 2 > 1.  The verdict includes the l-range bounds and the
     quasisplit product constraint.
     """
-    for A, B, name in ((A1, B1, "block1"), (A2, B2, "block2"), (A3, B3, "block3")):
-        _check_block(A, B, name)
+    _check_block(A1, B1, "block1")
+    _check_block(A2, B2, "block2")
+    _check_block(A3, B3, "block3")
     if not (A3 >= A2 >= A1 and B3 >= B2 >= B1):
         raise OracleError("hypotheses require A3 >= A2 >= A1 and B3 >= B2 >= B1")
-    for e in (eta1, eta2, eta3):
-        if e not in (1, -1):
-            raise OracleError("eta values must be +1/-1")
+    if not (eta1 in (1, -1) and eta2 in (1, -1) and eta3 in (1, -1)):
+        raise OracleError("eta values must be +1/-1")
 
+    d1 = A1 - B1
+    d2 = A2 - B2
+    d3 = A3 - B3
+    # The l-range bounds: 0 <= l <= (A - B + 1) // 2 on each block.
     if not (
-        _l_bound_ok(A1, B1, l1) and _l_bound_ok(A2, B2, l2) and _l_bound_ok(A3, B3, l3)
+        0 <= l1 <= (d1 + 1) // 2 and 0 <= l2 <= (d2 + 1) // 2 and 0 <= l3 <= (d3 + 1) // 2
     ):
         return False
     if _eps(A1, B1, l1, eta1) * _eps(A2, B2, l2, eta2) * _eps(A3, B3, l3, eta3) != 1:
         return False
 
-    d1 = A1 - B1
-    d2 = A2 - B2
-    d3 = A3 - B3
     eta3_matches = eta3 == ((-1) ** (d1 + d2)) * eta1
     eta2_matches = eta2 == ((-1) ** d1) * eta1
     # Threshold used by the four mismatched-eta3 systems.

@@ -46,8 +46,8 @@ class TransformPreconditionError(DataError):
     """The data does not satisfy the necessary condition required by a transform."""
 
 
-def _sgn_pow(d: int) -> int:
-    return -1 if d % 2 else 1
+# (-1)**d is _SIGN[d & 1].
+_SIGN = (1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def sup_condition_ok(
     d_big: int, d_small: int, l_big: int, e_big: Sign, l_small: int, e_small: Sign
 ) -> bool:
     """Necessary condition when the containing block is above."""
-    if e_big == _sgn_pow(d_small) * e_small:
+    if e_big == _SIGN[d_small & 1] * e_small:
         return 0 <= l_big - l_small <= d_big - d_small
     return l_big + l_small > d_small
 
@@ -70,7 +70,7 @@ def sub_condition_ok(
     d_big: int, d_small: int, l_big: int, e_big: Sign, l_small: int, e_small: Sign
 ) -> bool:
     """Necessary condition when the contained block is above."""
-    if e_small == _sgn_pow(d_big) * e_big:
+    if e_small == _SIGN[d_big & 1] * e_big:
         return 0 <= l_big - l_small <= d_big - d_small
     return l_big + l_small > d_small
 
@@ -92,7 +92,7 @@ def s_plus_pair(
             "input does not satisfy the container-above necessary condition"
         )
     step = d_small - 2 * l_small + 1
-    if e_big != _sgn_pow(d_small) * e_small:
+    if e_big != _SIGN[d_small & 1] * e_small:
         new_l_big = l_big - step
         new_e_big = e_small
     elif 2 * (l_big - l_small) < d_big - 2 * d_small + 2 * l_small:
@@ -101,7 +101,7 @@ def s_plus_pair(
     else:
         new_l_big = (d_big - d_small) + 2 * l_small - l_big
         new_e_big = e_small
-    new_e_small = _sgn_pow(d_big) * e_small
+    new_e_small = _SIGN[d_big & 1] * e_small
     out = (new_l_big, new_e_big, l_small, new_e_small)
     if not sub_condition_ok(d_big, d_small, *out):
         raise InvariantError(
@@ -122,16 +122,16 @@ def s_minus_pair(
         raise TransformPreconditionError(
             "input does not satisfy the contained-above necessary condition"
         )
-    new_e_small = _sgn_pow(d_big) * e_small
+    new_e_small = _SIGN[d_big & 1] * e_small
     step = d_small - 2 * l_small + 1
-    if e_small != _sgn_pow(d_big) * e_big:
-        new_e_big = _sgn_pow(d_small) * new_e_small
+    if e_small != _SIGN[d_big & 1] * e_big:
+        new_e_big = _SIGN[d_small & 1] * new_e_small
         new_l_big = l_big - step
     elif 2 * (l_big - l_small) < d_big - 2 * d_small + 2 * l_small:
-        new_e_big = -_sgn_pow(d_small) * new_e_small
+        new_e_big = -_SIGN[d_small & 1] * new_e_small
         new_l_big = l_big + step
     else:
-        new_e_big = _sgn_pow(d_small) * new_e_small
+        new_e_big = _SIGN[d_small & 1] * new_e_small
         new_l_big = (d_big - d_small) - l_big + 2 * l_small
     out = (new_l_big, new_e_big, l_small, new_e_small)
     if not sup_condition_ok(d_big, d_small, *out):
@@ -147,9 +147,9 @@ def u_pair(
     """Opposite-zeta swap: l's unchanged, each eta picks up (-1)^(d_other + 1)."""
     return (
         l_upper,
-        _sgn_pow(d_lower + 1) * e_upper,
+        _SIGN[(d_lower + 1) & 1] * e_upper,
         l_lower,
-        _sgn_pow(d_upper + 1) * e_lower,
+        _SIGN[(d_upper + 1) & 1] * e_lower,
     )
 
 

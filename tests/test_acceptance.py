@@ -9,7 +9,7 @@ import time
 
 from click.testing import CliRunner
 
-from arthur_packets import packets
+from arthur_packets import crosscheck, packets
 from arthur_packets.characters import quasisplit_ok, translate_M_to_W
 from arthur_packets.cli import main
 from arthur_packets.core import (
@@ -103,6 +103,34 @@ def test_crosscheck_sees_a_plan_fault(monkeypatch):
     monkeypatch.setattr(packets, "_fiber_members", lambda *args: members(*args)[1:])
     mismatches = compare_three_block(*shape)
     assert mismatches and all(want and not got for _, want, got in mismatches)
+
+
+def test_crosscheck_reports_a_non_canonical_member(monkeypatch):
+    # A member with eta = -1 where its l is invisible stands for no grid
+    # point, so both eta twins of that point are reported as missing.
+    def member_with_one_free_block():
+        for shape in random_three_block_shapes(20, 12, 3):
+            psi, order = three_block_parameter(*shape)
+            members = enumerate_packet(psi, order)
+            for m in members:
+                free = [i for i in range(3) if psi.blocks[i].eta_is_free_at(m.l[i])]
+                if len(free) == 1:
+                    return shape, members, m, free[0]
+
+    shape, members, member, i = member_with_one_free_block()
+    flipped = SignedData(member.l, member.eta[:i] + (-1,) + member.eta[i + 1 :])
+    monkeypatch.setattr(
+        crosscheck,
+        "enumerate_packet",
+        lambda *args, **kwargs: [flipped if m == member else m for m in members],
+    )
+    (l3, l2, l1), (e3, e2, e1) = member.l, member.eta
+    twins = []
+    for eta in (1, -1):
+        point = [l1, e1, l2, e2, l3, e3]
+        point[5 - 2 * i] = eta  # data index i is the grid's block 3 - i
+        twins.append((tuple(point), True, False))
+    assert sorted(compare_three_block(*shape)) == sorted(twins)
 
 
 def test_crosscheck_covers_the_eta_twins():

@@ -155,6 +155,35 @@ def test_integer_lists_take_only_ascii_digits():
     assert (res.exit_code, res.output) == (0, "NONVANISHING\n")
 
 
+def test_empty_order_entries_exit_two():
+    # An empty entry or fiber is malformed, not dropped.
+    data = ["--l", "10,10,2", "--eta", "1,1,1"]
+    for text in ("0,,1,2", "0,1,2,", "0,1,2;;"):
+        res = runner.invoke(main, ["decide", "--example", "moeglin-s8", "--order", text] + data)
+        assert res.exit_code == 2, (text, res.output)
+        assert res.stderr == f"error: malformed order {text!r}: invalid literal for int() with base 10: ''\n"
+        for flag in ("--from-order", "--to-order"):
+            orders = {"--from-order": "0,1,2", "--to-order": "0,1,2", flag: text}
+            args = ["reorder", "--example", "moeglin-s8"] + [x for kv in orders.items() for x in kv]
+            res = runner.invoke(main, args + data)
+            assert res.exit_code == 2, (flag, text, res.output)
+            assert res.stderr.startswith(f"error: malformed order {text!r}: ")
+
+
+def test_fiber_on_two_lattices_exit_two(tmp_path):
+    # Without a group, nothing else keeps a rho's blocks on one lattice; the
+    # engine's rules assume it (this fiber used to exit 5).
+    path = tmp_path / "two_lattices.json"
+    path.write_text(json.dumps({"blocks": [
+        {"rho": "r", "A": "7/2", "B": "5/2", "zeta": -1},
+        {"rho": "r", "A": "9/2", "B": "7/2", "zeta": 1},
+        {"rho": "r", "A": 8, "B": 6, "zeta": -1},
+    ]}))
+    res = runner.invoke(main, ["size", "--file", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "error: rho 'r' has both integral and half-integral blocks\n"
+
+
 def test_recursion_limit_exit_four():
     res = runner.invoke(
         main,

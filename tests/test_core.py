@@ -57,6 +57,17 @@ def test_group_parity_audit():
     Parameter((blk("5/2", "1/2", 1),), group_kind="SO-odd")
 
 
+def test_one_lattice_per_rho():
+    # One rho's blocks must all be integral or all half-integral, whatever
+    # the group; different rhos may lie on different lattices.
+    for group in (None, "Sp-even", "SO-odd"):
+        with pytest.raises(ParameterError, match="both integral and half-integral"):
+            Parameter((blk("7/2", "5/2", -1), blk("9/2", "7/2", 1), blk(8, 6, -1)), group_kind=group)
+    other = RhoLabel("s", "orthogonal", 1)
+    psi = Parameter((blk(8, 6, -1), blk("7/2", "5/2", -1, other)))
+    assert len(psi.fibers()) == 2
+
+
 def test_l_max_and_eta_freedom():
     b = blk(5, 2, 1)  # d = 3
     assert b.l_max() == 2

@@ -26,7 +26,7 @@ from arthur_packets.crosscheck import compare_three_block, random_three_block_sh
 from arthur_packets.engine import Engine, RecursionLimitError, _good_shape, basic_ok
 from arthur_packets.halfint import hi
 from arthur_packets.oracle import oracle_two_block
-from arthur_packets.packets import candidates, enumerate_packet
+from arthur_packets.packets import candidates, enumerate_packet, packet_size
 from arthur_packets.reductions import ReductionStep
 from arthur_packets.transforms import fiber_records, sup_condition_ok
 from test_acceptance import _fibers  # the records decide builds
@@ -401,6 +401,19 @@ def test_stored_rules_are_neutral_on_the_staircase():
         # Rules are stored from the second decision on.
         assert bool(shared._rules) == (len(shared.calls) > 1)
     _assert_stored_rules_are_neutral(shared)
+
+
+def test_pull_equal_with_several_equal_partners():
+    # Four blocks (A, B) = (0, 0) with zetas +, +, -, +, the first on top:
+    # the top block has two equal-interval, same-zeta partners below it.
+    # Pull-equal moves only the highest of them up to just below it; swapping
+    # from the lowest one instead pushes an equal same-zeta pair through S+,
+    # whose condition can fail where the rule itself gives a verdict.
+    psi = Parameter((blk(0, 0, 1), blk(0, 0, 1), blk(0, 0, -1), blk(0, 0, 1)))
+    orders = all_admissible_orders(psi)
+    assert AdmissibleOrder(((0, 1, 2, 3),)) in orders
+    assert len(orders) == 24
+    assert [packet_size(psi, order) for order in orders] == [2] * 24
 
 
 def test_far_away_shift_keeps_the_packet():
