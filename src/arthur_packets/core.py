@@ -175,7 +175,7 @@ class Parameter:
 
     @cached_property
     def _transports(self) -> Dict[Tuple["AdmissibleOrder", "AdmissibleOrder"], tuple]:
-        """``reorder``'s per-fiber swap schedules by (from_order, to_order)."""
+        """``reorder``'s per-fiber pair programs by (from_order, to_order)."""
         return {}
 
     def fibers(self) -> Dict[RhoLabel, Tuple[int, ...]]:
@@ -396,6 +396,8 @@ def parameter_from_json(obj: Mapping) -> Tuple[Parameter, Optional[AdmissibleOrd
             raw_order = [raw_order]
         if not all(isinstance(t, (list, tuple)) and all(map(_is_int, t)) for t in raw_order):
             raise ParameterError(f"malformed order {raw_order!r}: expected lists of integers")
+        if not all(raw_order):
+            raise ParameterError(f"malformed order {raw_order!r}: a fiber is empty")
         order = AdmissibleOrder(tuple(tuple(t) for t in raw_order))
         if not is_admissible(order, psi):
             raise DataError("declared order is not admissible")

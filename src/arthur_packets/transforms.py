@@ -9,18 +9,21 @@ blocks involves a nested-or-equal pair, these transport (l, eta) between any
 two admissible orders (reorder).
 
 The pair formulas only depend on each block's A - B; helpers here take those
-integers directly.  ``swap_records`` applies them to fiber records, and
+integers directly.  ``pair_kind`` reads from two records' (2A, 2B, zeta)
+which map swaps them.  ``swap_records`` applies it to fiber records, and
 ``transport`` sorts a fiber's records by swapping neighbours: the one way
-in which both the decision engine and ``reorder`` move (l, eta).  It is
+in which the decision engine moves (l, eta).  It is
 ``swap_along(recs, swap_schedule(keys))``: the swap positions depend on the
 keys alone, so a caller that sorts the same keys again can keep the schedule.
 ``reorder`` is the one Parameter-level transport: a single adjacent swap is
-``reorder`` to the order with that pair exchanged.  Its schedules depend only
-on the two orders, so the first call for a pair of orders compiles them on
-the parameter, for each fiber whose order changes; a fiber in the same order
-in both has no swap and keeps its (l, eta).  Every call still checks the
-bounds, both orders, each swap's conditions and the order each moving fiber
-reached.
+``reorder`` to the order with that pair exchanged.  Its swaps depend only on
+the two orders, so the first call for a pair of orders compiles, for each
+fiber whose order changes, a pair program: the occurrences, kind and A - B
+values of each swap, run in place on the (l, eta) lists.  The order each
+moving fiber reaches is a function of its schedule alone, so it is checked
+once, when the pair of orders is compiled; a fiber in the same order in both
+has no swap and keeps its (l, eta).  Every call still checks the bounds,
+both orders and each swap's conditions.
 """
 
 from __future__ import annotations
@@ -165,30 +168,53 @@ def fiber_records(
     return [records[i] + (l[i], eta[i]) for i in occurrences]
 
 
+# The map that swaps an adjacent pair, as ``pair_kind`` names it.
+U, S_PLUS, S_MINUS, NEITHER = range(4)
+
+
+def pair_kind(tA1: int, tB1: int, z1: int, tA2: int, tB2: int, z2: int) -> int:
+    """Which map swaps an adjacent pair, from the lower record's (2A, 2B,
+    zeta) and then the upper's: U for opposite zeta, S_PLUS when the upper
+    interval contains the lower one, S_MINUS when the lower contains the
+    upper, NEITHER for a same-zeta pair that is not nested (no swap between
+    admissible orders exchanges one).
+    """
+    if z1 != z2:
+        return U
+    if tB2 <= tB1 and tA2 >= tA1:
+        return S_PLUS
+    if tB1 <= tB2 and tA1 >= tA2:
+        return S_MINUS
+    return NEITHER
+
+
+def _neither_nested(*_):
+    """The map of a NEITHER pair: there is none."""
+    raise InvariantError("unreachable: adjacent same-zeta pair neither nested nor allowed to swap")
+
+
 def swap_records(lower: Rec, upper: Rec) -> Tuple[Rec, Rec]:
     """Exchange an adjacent pair of fiber records, transporting (l, eta).
 
-    ``upper`` is the greater of the two in the current order.  U is applied
-    for opposite zeta, S+ when the upper interval contains the lower one and
-    S- when the lower contains the upper.  Returns the new (lower, upper)
-    pair: the old upper record, now below, and the old lower one, now above.
-    Raises TransformPreconditionError when the pair's necessary condition
-    fails, which means the member vanishes.
+    ``upper`` is the greater of the two in the current order; the map is
+    ``pair_kind``'s.  Returns the new (lower, upper) pair: the old upper
+    record, now below, and the old lower one, now above.  Raises
+    TransformPreconditionError when the pair's necessary condition fails,
+    which means the member vanishes.
     """
     tA1, tB1, z1, l1, e1 = lower
     tA2, tB2, z2, l2, e2 = upper
     d1 = (tA1 - tB1) // 2
     d2 = (tA2 - tB2) // 2
-    if z1 != z2:
+    kind = pair_kind(tA1, tB1, z1, tA2, tB2, z2)
+    if kind == U:
         l2, e2, l1, e1 = u_pair(d2, d1, l2, e2, l1, e1)
-    elif tB2 <= tB1 and tA2 >= tA1:
+    elif kind == S_PLUS:
         l2, e2, l1, e1 = s_plus_pair(d2, d1, l2, e2, l1, e1)
-    elif tB1 <= tB2 and tA1 >= tA2:
+    elif kind == S_MINUS:
         l1, e1, l2, e2 = s_minus_pair(d1, d2, l1, e1, l2, e2)
     else:
-        raise InvariantError(
-            "unreachable: adjacent same-zeta pair neither nested nor allowed to swap"
-        )
+        _neither_nested()
     return (tA2, tB2, z2, l2, e2), (tA1, tB1, z1, l1, e1)
 
 
@@ -268,29 +294,39 @@ def sigma0_canonical(psi: Parameter, data: SignedData) -> SignedData:
 # ---------------------------------------------------------------------------
 
 def _transports(psi: Parameter, from_order: AdmissibleOrder, to_order: AdmissibleOrder):
-    """Per fiber whose order differs between the two orders: the occurrences
-    in both orders and the swaps from one to the other, each listed
-    ascending, and the target's (2A, 2B, zeta) records.  A fiber in the same
+    """The pair program of each fiber whose order differs between the two
+    orders: its swaps as ``(kind, a, b, d_a, d_b)``, the pair function's two
+    occurrences in its argument order and their A - B.  A fiber in the same
     order in both leaves its (l, eta) as they are.
 
-    They depend only on the two orders, so each pair is compiled once and
-    kept on ``psi``.
+    The programs depend only on the two orders, so each pair is compiled once
+    and kept on ``psi``.  A swap moves the records' (2A, 2B, zeta) by
+    position whatever their (l, eta), so the order a program reaches is
+    checked here, once; a pair that does not reach ``to_order`` raises and
+    keeps nothing.
     """
     key = (from_order, to_order)
     compiled = psi._transports.get(key)
     if compiled is None:
-        records = psi.records
-        target_rank = to_order._rank
-        fibers = []
+        records, blocks, target_rank = psi.records, psi.blocks, to_order._rank
+        programs = []
         for current, target in zip(from_order._fibers, to_order._fibers):
             if current == target:
-                # No swap, and its records already sit on the target's blocks.
                 continue
-            # Both fibers list greatest first; records are built ascending.
-            below, want = current[::-1], target[::-1]
-            schedule = tuple(swap_schedule([target_rank[occ] for occ in below]))
-            fibers.append((below, want, schedule, tuple(records[occ] for occ in want)))
-        compiled = psi._transports[key] = tuple(fibers)
+            # Both fibers list greatest first; programs run ascending.
+            work, want = list(current[::-1]), target[::-1]
+            steps = []
+            for i in swap_schedule([target_rank[occ] for occ in work]):
+                lower, upper = work[i], work[i + 1]
+                kind = pair_kind(*records[lower], *records[upper])
+                # s_minus_pair takes the lower block first, u_pair and s_plus_pair the upper.
+                a, b = (lower, upper) if kind == S_MINUS else (upper, lower)
+                steps.append((kind, a, b, blocks[a].d, blocks[b].d))
+                work[i], work[i + 1] = upper, lower
+            if tuple(work) != want:
+                raise InvariantError("reorder did not reach the target order")
+            programs.append(tuple(steps))
+        compiled = psi._transports[key] = tuple(programs)
     return compiled
 
 
@@ -302,9 +338,9 @@ def reorder(
 ) -> SignedData:
     """Transport (l, eta) from one admissible order to another.
 
-    The bounds, both orders, every swap's conditions and the order reached
-    by each fiber that moves are checked on every call; only the swap
-    positions are compiled once per pair of orders.
+    The bounds, both orders and every swap's conditions are checked on every
+    call; the pair programs, and with them the order each moving fiber
+    reaches, are compiled and checked once per pair of orders.
     """
     data.check_bounds(psi)
     if not is_admissible(from_order, psi):
@@ -313,11 +349,11 @@ def reorder(
         raise DataError("to_order is not admissible")
     l = list(data.l)
     eta = list(data.eta)
-    for below, want, schedule, skeleton in _transports(psi, from_order, to_order):
-        recs = swap_along(fiber_records(psi, below, l, eta), schedule)
-        # The transported records must sit on the target's blocks.
-        if tuple([rec[:3] for rec in recs]) != skeleton:
-            raise InvariantError("reorder did not reach the target order")
-        for occ, rec in zip(want, recs):
-            l[occ], eta[occ] = rec[3], rec[4]
+    # The maps indexed by kind, looked up on every call rather than kept in
+    # the programs, so that a pair function wrapped after compilation is the
+    # one called.
+    pair = (u_pair, s_plus_pair, s_minus_pair, _neither_nested)
+    for program in _transports(psi, from_order, to_order):
+        for kind, a, b, d_a, d_b in program:
+            l[a], eta[a], l[b], eta[b] = pair[kind](d_a, d_b, l[a], eta[a], l[b], eta[b])
     return SignedData(tuple(l), tuple(eta))

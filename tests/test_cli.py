@@ -1,7 +1,11 @@
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arthur_packets.cli import main
 from arthur_packets import reductions as reductions_module
@@ -287,6 +291,50 @@ def test_enumerate_sorted_and_consistent(tmp_path):
     res2 = runner.invoke(main, ["size", "--file", str(path), "--format", "json"])
     assert res2.exit_code == 0, res2.output
     assert json.loads(res2.output)["packet_size"] == 1651
+
+
+# Three blocks of one rho: (2, 0, +1), (1, 0, -1), (3, 1, +1).  Block 2
+# dominates block 0, so 2 must come before 0 in an admissible order.
+_THREE_BLOCKS = [
+    {"rho": "r", "A": 2, "B": 0, "zeta": 1},
+    {"rho": "r", "A": 1, "B": 0, "zeta": -1},
+    {"rho": "r", "A": 3, "B": 1, "zeta": 1},
+]
+
+
+def test_empty_fiber_in_file_order_exit_two(tmp_path):
+    # An empty fiber in a parameter file's order is malformed, as the same
+    # order spelled on the command line is.
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"blocks": _THREE_BLOCKS}))
+    res = runner.invoke(main, ["size", "--file", str(path), "--order", "2,0,1"])
+    assert (res.exit_code, res.output) == (0, "8\n")
+    res = runner.invoke(main, ["size", "--file", str(path), "--order", "2,0,1;"])
+    assert res.exit_code == 2, res.output
+    for order in ([[2, 0, 1], []], [[]]):
+        path.write_text(json.dumps({"blocks": _THREE_BLOCKS, "order": order}))
+        res = runner.invoke(main, ["size", "--file", str(path)])
+        assert res.exit_code == 2, (order, res.output)
+        assert res.stderr == f"error: malformed order {order!r}: a fiber is empty\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(st.integers(-1, 3), max_size=4), min_size=1, max_size=3))
+def test_file_and_command_line_orders_agree(fibers):
+    # A parameter file's "order" and the same lists spelled as --order give
+    # the same exit code and output, and none is an internal error.  (The
+    # empty list of fibers has no --order spelling: "" reads as [[]].)
+    text = ";".join(",".join(map(str, fiber)) for fiber in fibers)
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, declared = Path(tmp, "plain.json"), Path(tmp, "declared.json")
+        plain.write_text(json.dumps({"blocks": _THREE_BLOCKS}))
+        declared.write_text(json.dumps({"blocks": _THREE_BLOCKS, "order": fibers}))
+        from_file = runner.invoke(main, ["size", "--file", str(declared)])
+        from_flag = runner.invoke(main, ["size", "--file", str(plain), "--order", text])
+    assert from_file.exit_code in (0, 2, 3), (fibers, from_file.output)
+    assert (from_file.exit_code, from_file.stdout) == (from_flag.exit_code, from_flag.stdout), (
+        fibers, text, from_file.output, from_flag.output,
+    )
 
 
 def test_size_all_orders(tmp_path):

@@ -303,10 +303,10 @@ def test_json_order_parsing():
     obj["order"] = [[0, 1]]
     _, order = parameter_from_json(obj)
     assert order.per_rho == ((0, 1),)
-    # An empty tuple covers nothing and is not a fiber.
+    # An empty fiber is malformed, as it is when spelled as --order "0,1;".
     obj["order"] = [[0, 1], []]
-    _, order = parameter_from_json(obj)
-    assert order.fibers() == [(0, 1)]
+    with pytest.raises(ParameterError, match=r"^malformed order \[\[0, 1\], \[\]\]: a fiber is empty$"):
+        parameter_from_json(obj)
 
 
 def test_json_rejects_inadmissible_order():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arthur_packets import transforms
 from arthur_packets.core import (
     AdmissibleOrder,
     DataError,
+    InvariantError,
     JordanBlock,
     Parameter,
     RhoLabel,
@@ -19,6 +21,7 @@ from arthur_packets.halfint import hi
 from arthur_packets.packets import enumerate_packet
 from arthur_packets.transforms import (
     TransformPreconditionError,
+    fiber_records,
     reorder,
     s_minus_pair,
     s_plus_pair,
@@ -26,6 +29,7 @@ from arthur_packets.transforms import (
     sigma0_equiv,
     sub_condition_ok,
     sup_condition_ok,
+    swap_along,
     swap_records,
     swap_schedule,
     transport,
@@ -389,6 +393,85 @@ def test_compiled_transports_match_a_cold_parameter():
                 moved += 1
         assert len(psi._transports) == 12
     assert moved == 3672
+
+
+def _record_level_reorder(psi, from_order, to_order, data):
+    """reorder on fiber records: each fiber's records swapped along the
+    schedule of its target ranks, then written back per occurrence."""
+    l, eta = list(data.l), list(data.eta)
+    rank = to_order.rank()
+    for current, target in zip(from_order.fibers(), to_order.fibers()):
+        below, want = current[::-1], target[::-1]
+        recs = swap_along(fiber_records(psi, below, l, eta), swap_schedule([rank[o] for o in below]))
+        assert [rec[:3] for rec in recs] == [psi.records[o] for o in want]
+        for occ, rec in zip(want, recs):
+            l[occ], eta[occ] = rec[3], rec[4]
+    return SignedData(l, eta)
+
+
+def _canonical_grid(psi):
+    """Every (l, eta) with eta = +1 wherever the eta-flip is invisible."""
+    choices = [
+        [(l, e) for l in range(blk.l_max() + 1) for e in ((1,) if blk.eta_is_free_at(l) else (1, -1))]
+        for blk in psi.blocks
+    ]
+    for point in itertools.product(*choices):
+        yield SignedData(tuple(l for l, _ in point), tuple(e for _, e in point))
+
+
+def test_compiled_transport_matches_the_record_level_reference():
+    # Every canonical grid point, not only packet members, moves between
+    # every ordered pair of up to four admissible orders as the record-level
+    # reference moves it, or raises TransformPreconditionError where it does.
+    rng = random.Random(23)
+    tested = moved = raised = 0
+    while tested < 12:
+        psi = _random_parameter(rng)
+        orders = all_admissible_orders(psi, limit=4)
+        grid = list(_canonical_grid(psi))
+        if len(orders) < 2 or len(grid) > 600:
+            continue
+        tested += 1
+        for a, b in itertools.permutations(orders, 2):
+            for data in grid:
+                try:
+                    want = _record_level_reorder(psi, a, b, data)
+                except TransformPreconditionError:
+                    with pytest.raises(TransformPreconditionError):
+                        reorder(psi, a, b, data)
+                    raised += 1
+                    continue
+                assert reorder(psi, a, b, data) == want, (psi, a, b, data)
+                moved += 1
+    assert moved > 1000 and raised > 1000, (moved, raised)
+
+
+def test_reached_order_is_checked_at_compilation(monkeypatch):
+    # A schedule that stops one swap short never reaches the target order:
+    # every call raises, and no pair program is kept.
+    psi = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)))
+    natural = AdmissibleOrder(((0, 1, 2),))
+    swapped = AdmissibleOrder(((1, 0, 2),))
+    data = SignedData((10, 10, 2), (1, 1, 1))
+    schedule = transforms.swap_schedule
+    monkeypatch.setattr(transforms, "swap_schedule", lambda keys: schedule(keys)[:-1])
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="^reorder did not reach the target order$"):
+            reorder(psi, natural, swapped, data)
+    assert psi._transports == {}
+
+
+def test_swap_conditions_are_checked_on_every_call():
+    # S+ needs 0 <= l_big - l_small here (equal etas, d_small even); the
+    # compiled pair of orders still raises on the second call.
+    psi = Parameter((blk(5, 1, 1), blk(4, 2, 1)))
+    container_above = AdmissibleOrder(((0, 1),))
+    contained_above = AdmissibleOrder(((1, 0),))
+    data = SignedData((0, 1), (1, 1))
+    for _ in range(2):
+        with pytest.raises(TransformPreconditionError, match="container-above"):
+            reorder(psi, container_above, contained_above, data)
+    assert len(psi._transports) == 1
 
 
 def test_reorder_moves_only_the_fiber_whose_order_changes():
