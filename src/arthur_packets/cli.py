@@ -198,14 +198,13 @@ def cmd_decide(file_, example, order_text, l_text, eta_text, trace, fmt, recursi
 @click.option("--order", "order_text", default=None)
 @click.option("--all-orders", is_flag=True, default=False)
 @click.option("--oracle", "use_oracle", is_flag=True, default=False)
-@click.option("--jobs", default=1, type=click.IntRange(min=1))
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 @click.option("--recursion-limit", default=10000, type=click.IntRange(min=0))
-def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recursion_limit):
+def cmd_size(file_, example, order_text, all_orders, use_oracle, fmt, recursion_limit):
     if (order_text is not None) + all_orders + use_oracle > 1:
         _fail(EXIT_PARSE, "use at most one of --order, --all-orders and --oracle")
     if use_oracle:
-        _reject_ignored(("jobs", "recursion_limit"), "--oracle")
+        _reject_ignored(("recursion_limit",), "--oracle")
     psi, declared = _load_parameter(file_, example)
     if use_oracle:
         count = count_three_block_classes(*three_block_shape(psi))
@@ -219,16 +218,14 @@ def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recu
             )
         counts = {}
         for i, order in enumerate(orders):
-            counts[f"order-{i}"] = packet_size(
-                psi, order, jobs=jobs, engine=Engine(recursion_limit)
-            )
+            counts[f"order-{i}"] = packet_size(psi, order, engine=Engine(recursion_limit))
         values = set(counts.values())
         if len(values) > 1:
             _fail(EXIT_MISMATCH, f"packet size differs across orders: {counts}")
         count = counts[next(iter(counts))]
     else:
         order = _pick_order(order_text, declared, psi)
-        count = packet_size(psi, order, jobs=jobs, engine=Engine(recursion_limit))
+        count = packet_size(psi, order, engine=Engine(recursion_limit))
         counts = {"size": count}
     if fmt == "json":
         click.echo(json.dumps({"packet_size": count, "counts": counts}))
@@ -243,13 +240,12 @@ def cmd_size(file_, example, order_text, all_orders, use_oracle, jobs, fmt, recu
 @click.option("--file", "file_", type=click.Path(), default=None)
 @click.option("--example", default=None)
 @click.option("--order", "order_text", default=None)
-@click.option("--jobs", default=1, type=click.IntRange(min=1))
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table")
 @click.option("--recursion-limit", default=10000, type=click.IntRange(min=0))
-def cmd_enumerate(file_, example, order_text, jobs, fmt, recursion_limit):
+def cmd_enumerate(file_, example, order_text, fmt, recursion_limit):
     psi, declared = _load_parameter(file_, example)
     order = _pick_order(order_text, declared, psi)
-    members = enumerate_packet(psi, order, jobs=jobs, engine=Engine(recursion_limit))
+    members = enumerate_packet(psi, order, engine=Engine(recursion_limit))
     if fmt == "json":
         click.echo(
             json.dumps(

@@ -196,6 +196,9 @@ class AdmissibleOrder:
         # Verdicts are cached by order, so 1.0 or True must not pass for 1.
         if not all(_is_int(occ) for t in self.per_rho for occ in t):
             raise DataError(f"order entries must be integers, got {self.per_rho!r}")
+        # One spelling per order: an empty fiber would make a second, unequal one.
+        if not all(self.per_rho):
+            raise DataError(f"order has an empty fiber: {self.per_rho!r}")
         # Orders key the per-parameter caches, so the hash is computed once.
         object.__setattr__(self, "_hash", hash(self.per_rho))
 
@@ -204,7 +207,7 @@ class AdmissibleOrder:
 
     @cached_property
     def _fibers(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(sorted(filter(None, self.per_rho), key=min))
+        return tuple(sorted(self.per_rho, key=min))
 
     @cached_property
     def _rank(self) -> Dict[int, int]:
@@ -216,7 +219,7 @@ class AdmissibleOrder:
         return out
 
     def fibers(self) -> List[Tuple[int, ...]]:
-        """The nonempty fiber orders by least occurrence, the order of ``Parameter.fibers``."""
+        """The fiber orders by least occurrence, the order of ``Parameter.fibers``."""
         return list(self._fibers)
 
     def rank(self) -> Dict[int, int]:

@@ -19,12 +19,12 @@ by sign, so only products that can still reach +1 are built (at the last
 fiber a row pairs only with members of its own sign), and the concatenated
 data are mapped back to occurrence order only when the fibers interleave.
 ``packet_size`` only counts those products by sign.  This plan is the
-library's one member filter.
+library's one member filter.  It runs serially: every choice is decided by
+the caller's one engine, so all of them share its memo.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .characters import _eps
@@ -106,11 +106,6 @@ def _fiber_members(
     ]
 
 
-def _eval_chunk(args):
-    template, plan, chunk, recursion_limit = args
-    return _fiber_members(template, plan, chunk, Engine(recursion_limit))
-
-
 def _reachable(k: int, n: int) -> Tuple[int, ...]:
     """The sign products kept for products over fibers 0..k of ``n``: both
     while a later fiber can complete either to +1, only +1 after the last."""
@@ -118,7 +113,7 @@ def _reachable(k: int, n: int) -> Tuple[int, ...]:
 
 
 def _plan(
-    psi: Parameter, order: Optional[AdmissibleOrder], jobs: int, engine: Optional[Engine]
+    psi: Parameter, order: Optional[AdmissibleOrder], engine: Optional[Engine]
 ) -> Tuple[List[_Fiber], List[Dict[int, List[Member]]], Dict[int, int]]:
     """The fibers, their members split by sign, and the member products'
     count per sign.
@@ -127,8 +122,8 @@ def _plan(
     of the later ones can complete its sign to +1.  Every block offers both
     signs, so every fiber does, and only the last fiber is restricted: to
     the signs that the earlier member products reach (for one fiber, +1).
-    With ``jobs > 1`` a process pool decides chunks of each fiber's choices
-    through the same filter, one fresh engine a chunk.
+    Every choice is decided in turn by the one engine, ``engine`` or a fresh
+    one.
     """
     if order is None:
         order = natural_order(psi)
@@ -138,33 +133,17 @@ def _plan(
     fibers = [_fiber(psi, fiber) for fiber in order.fibers()]
     lists: List[Dict[int, List[Member]]] = []
     counts = {1: 1, -1: 0}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = ProcessPoolExecutor(max_workers=jobs)
-    else:
-        context = nullcontext()
-    with context as pool:
-        for k, fib in enumerate(fibers):
-            reach = _reachable(k, len(fibers))
-            wanted = {s * u for s, n in counts.items() if n for u in reach}
-            choices = [c for c in fib.choices if c[0] in wanted]
-            if pool is None or len(choices) <= 1:
-                kept = _fiber_members(fib.template, fib.plan, choices, engine)
-            else:
-                size = (len(choices) + jobs - 1) // jobs
-                chunks = [
-                    (fib.template, fib.plan, choices[i : i + size], engine.recursion_limit)
-                    for i in range(0, len(choices), size)
-                ]
-                kept = [c for part in pool.map(_eval_chunk, chunks) for c in part]
-            by_sign: Dict[int, List[Member]] = {1: [], -1: []}
-            for t, m, e in kept:
-                by_sign[t].append((m, e))
-            lists.append(by_sign)
-            counts = {
-                u: counts[1] * len(by_sign[u]) + counts[-1] * len(by_sign[-u]) for u in (1, -1)
-            }
+    for k, fib in enumerate(fibers):
+        reach = _reachable(k, len(fibers))
+        wanted = {s * u for s, n in counts.items() if n for u in reach}
+        choices = [c for c in fib.choices if c[0] in wanted]
+        by_sign: Dict[int, List[Member]] = {1: [], -1: []}
+        for t, m, e in _fiber_members(fib.template, fib.plan, choices, engine):
+            by_sign[t].append((m, e))
+        lists.append(by_sign)
+        counts = {
+            u: counts[1] * len(by_sign[u]) + counts[-1] * len(by_sign[-u]) for u in (1, -1)
+        }
     return fibers, lists, counts
 
 
@@ -174,7 +153,12 @@ def enumerate_packet(
     jobs: int = 1,
     engine: Optional[Engine] = None,
 ) -> List[SignedData]:
-    fibers, lists, _ = _plan(psi, order, jobs, engine)
+    """The packet's members, sorted by (l, eta).
+
+    ``jobs`` is accepted and ignored: the plan is serial.  It stays only
+    because ``perfbench/run.py`` still passes ``jobs=2``.
+    """
+    fibers, lists, _ = _plan(psi, order, engine)
     # rows[u]: (l, eta) over the fibers so far, concatenated, with sign product u.
     rows = {1: [((), ())], -1: []}
     for k, by_sign in enumerate(lists):
@@ -204,7 +188,6 @@ def enumerate_packet(
 def packet_size(
     psi: Parameter,
     order: Optional[AdmissibleOrder] = None,
-    jobs: int = 1,
     engine: Optional[Engine] = None,
 ) -> int:
-    return _plan(psi, order, jobs, engine)[2][1]
+    return _plan(psi, order, engine)[2][1]

@@ -499,9 +499,9 @@ def test_fiber_plan_matches_the_candidate_filter():
             JordanBlock(RHO, hi(8), hi(4), 1),
         )
     )
-    cases = [(golden, natural_order(golden), (1, 2))]
+    cases = [(golden, natural_order(golden))]
     # The criterion-5 family: its first 16 parameters, each under the first
-    # of its shuffled admissible orders; every fourth also with the pool.
+    # of its shuffled admissible orders.
     # Every second one has its fibers' blocks dealt out in turn, so that the
     # fibers interleave in the occurrence indices.
     rng = random.Random(99)
@@ -515,15 +515,14 @@ def test_fiber_plan_matches_the_candidate_filter():
             psi = Parameter(tuple(psi.blocks[i] for i in dealt if i is not None))
             orders = all_admissible_orders(psi, limit=50)
         rng.shuffle(orders)
-        cases.append((psi, orders[0], (1, 2) if len(cases) % 4 == 0 else (1,)))
-    assert sum(len(psi.fibers()) == 2 for psi, _, _ in cases) >= 10
+        cases.append((psi, orders[0]))
+    assert sum(len(psi.fibers()) == 2 for psi, _ in cases) >= 10
     # Fibers of two or more blocks interleave where blocks 0 and 1 differ in rho.
-    assert sum(psi.blocks[0].rho != psi.blocks[1].rho for psi, _, _ in cases) >= 5
-    for psi, order, jobs in cases:
+    assert sum(psi.blocks[0].rho != psi.blocks[1].rho for psi, _ in cases) >= 5
+    for psi, order in cases:
         want = _candidate_filter(psi, order)
-        for j in jobs:
-            assert enumerate_packet(psi, order, jobs=j) == want, (psi, order, j)
-            assert packet_size(psi, order, jobs=j) == len(want), (psi, order, j)
+        assert enumerate_packet(psi, order) == want, (psi, order)
+        assert packet_size(psi, order) == len(want), (psi, order)
 
 
 def _three_fiber_parameters(count, seed):

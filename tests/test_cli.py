@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arthur_packets.cli import main
+from arthur_packets import cli as cli_module
+from arthur_packets import crosscheck as crosscheck_module
 from arthur_packets import reductions as reductions_module
 
 runner = CliRunner()
@@ -83,8 +85,11 @@ def test_parse_errors_exit_two(tmp_path):
     assert res.exit_code == 2
     res = runner.invoke(main, ["oracle-compare", "--count", "1", "--max-a", "-1"])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["size", "--example", "moeglin-s8", "--jobs", "0"])
-    assert res.exit_code == 2
+    # The plan is serial; there is no process pool to size.
+    for cmd in ("size", "enumerate"):
+        res = runner.invoke(main, [cmd, "--example", "moeglin-s8", "--jobs", "1"])
+        assert res.exit_code == 2, (cmd, res.output)
+        assert "No such option '--jobs'" in res.stderr
     res = runner.invoke(
         main, ["size", "--example", "moeglin-s8", "--recursion-limit", "-1"]
     )
@@ -111,10 +116,6 @@ def test_parse_errors_exit_two(tmp_path):
         (
             ["oracle-compare", "--count", "0", "--example", "moeglin-s8", "--seed", "5"],
             "oracle-compare without --count does not use --seed",
-        ),
-        (
-            ["size", "--example", "moeglin-s8", "--oracle", "--jobs", "2", "--recursion-limit", "1"],
-            "--oracle does not use --jobs or --recursion-limit",
         ),
         (
             ["size", "--example", "moeglin-s8", "--oracle", "--recursion-limit", "10000"],
@@ -200,16 +201,9 @@ def test_recursion_limit_exit_four():
     assert res.exit_code == 4
 
 
-def test_recursion_limit_applies_with_jobs():
-    for jobs in ("1", "2"):
-        res = runner.invoke(
-            main,
-            [
-                "size", "--example", "moeglin-s8",
-                "--recursion-limit", "7", "--jobs", jobs,
-            ],
-        )
-        assert res.exit_code == 4, (jobs, res.output)
+def test_recursion_limit_applies_to_size():
+    res = runner.invoke(main, ["size", "--example", "moeglin-s8", "--recursion-limit", "7"])
+    assert res.exit_code == 4, res.output
 
 
 def test_internal_error_exit_five(monkeypatch):
@@ -408,6 +402,56 @@ def test_oracle_compare_example():
     assert json.loads(res.output)["mismatches"] == 0
 
 
+def test_default_table_output():
+    golden = ["--example", "moeglin-s8"]
+    res = runner.invoke(main, ["enumerate"] + golden)
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    assert len(lines) == 1652
+    assert (lines[0], lines[-1]) == ("l=0,0,0 eta=-1,-1,1", "total: 1651")
+    res = runner.invoke(main, ["decide"] + golden + ["--l", "10,10,2", "--eta", "1,1,1", "--trace"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines() == [
+        "NONVANISHING",
+        "  Expand: (3, 42, 1) -> [(3, 30, 1)]",
+        "  PullUnequal: (3, 30, 1) -> [(1, 14, 0), (2, 22, 1), (2, 22, 1)]",
+        "  Expand: (2, 22, 1) -> [(2, 8, 1)]",
+        "  ChangeSignIntegral: (2, 8, 1) -> [(2, 8, 0)]",
+        "  PullUnequal: (2, 8, 0) -> [(0, 0, 0), (1, 8, 0), (1, 0, 0)]",
+        "  Expand: (2, 22, 1) -> [(2, 14, 1)]",
+        "  ChangeSignIntegral: (2, 14, 1) -> [(2, 14, 0)]",
+        "  PullUnequal: (2, 14, 0) -> [(0, 0, 0), (1, 14, 0), (1, 0, 0)]",
+    ]
+    res = runner.invoke(main, ["size", "--all-orders"] + golden)
+    assert (res.exit_code, res.output) == (0, "order-0: 1651\norder-1: 1651\norder-2: 1651\n1651\n")
+    res = runner.invoke(main, ["oracle-compare"] + golden)
+    assert (res.exit_code, res.output) == (0, "0 mismatches over 1 instances\n")
+
+
+def test_mismatches_exit_one(monkeypatch):
+    golden = ["--example", "moeglin-s8"]
+    with monkeypatch.context() as patch:
+        sizes = iter([1651, 1650, 1651])
+        patch.setattr(cli_module, "packet_size", lambda *args, **kwargs: next(sizes))
+        res = runner.invoke(main, ["size", "--all-orders"] + golden)
+    assert (res.exit_code, res.stdout) == (1, ""), res.output
+    assert res.stderr == (
+        "error: packet size differs across orders: "
+        "{'order-0': 1651, 'order-1': 1650, 'order-2': 1651}\n"
+    )
+    # A packet plan that loses its first member disagrees with the oracle.
+    members = crosscheck_module.enumerate_packet
+    monkeypatch.setattr(
+        crosscheck_module, "enumerate_packet", lambda *args, **kwargs: members(*args, **kwargs)[1:]
+    )
+    res = runner.invoke(main, ["oracle-compare"] + golden)
+    assert (res.exit_code, res.output) == (
+        1,
+        "1 mismatches over 1 instances\n"
+        "witness: ((8, 4, 37, 7, 40, 10), ((0, 1, 0, -1, 0, -1), True, False))\n",
+    )
+
+
 def test_malformed_file_exit_two(tmp_path):
     block = '{"rho": "r", "A": %s, "B": 0, "zeta": 1}'
     bad = {
@@ -481,3 +525,74 @@ def test_order_not_matching_fibers_exit_three(tmp_path):
     res = runner.invoke(main, ["size", "--file", str(path), "--order", "1,2;3,0"])
     assert res.exit_code == 3, res.output
     assert "order has no fiber matching rho 'r'" in res.stderr
+
+
+def _spellings(twice):
+    """The ways a parameter file may write the coordinate twice / 2."""
+    if twice % 2 == 0:
+        return [twice // 2, str(twice // 2), f"{twice}/2"]
+    return [f"{twice}/2", ("-" if twice < 0 else "") + f"{abs(twice) // 2}.5"]
+
+
+@st.composite
+def _parameter_files(draw, shift):
+    """1-3 block entries of up to two rhos on one lattice or on both, with
+    coordinates ``shift`` (an even number) and up, in every spelling, and
+    now and then a field missing or one too many."""
+    lattice = draw(st.sampled_from(("integral", "half-integral", "mixed")))
+
+    def twice(low):
+        half = draw(st.sampled_from((0, 1))) if lattice == "mixed" else int(lattice != "integral")
+        return shift + 2 * draw(st.integers(low, 3)) + half
+
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        tB = twice(0)
+        tA = tB + twice(-1) - shift - (tB - shift) % 2  # A - B from -1 to 3, or 1/2 off when mixed
+        block = {"rho": draw(st.sampled_from(("a", "b"))), "zeta": draw(st.sampled_from((1, -1)))}
+        block["A"] = draw(st.sampled_from(_spellings(tA)))
+        block["B"] = draw(st.sampled_from(_spellings(tB)))
+        if draw(st.booleans()):
+            block["parity"] = draw(st.sampled_from(("orthogonal", "symplectic")))
+        if draw(st.booleans()):
+            block["count"] = draw(st.integers(1, 3))
+        fields = draw(st.sampled_from(("as is", "as is", "as is", "missing", "extra")))
+        if fields == "missing":
+            del block[draw(st.sampled_from(("rho", "A", "B", "zeta")))]
+        elif fields == "extra":
+            block["note"] = "ignored"
+        blocks.append(block)
+    obj = {"blocks": blocks}
+    group = draw(st.sampled_from(("absent", None, "Sp-even", "SO-odd", "SO-even")))
+    if group != "absent":
+        obj["group"] = group
+    return obj
+
+
+def _integer_list_texts(n, entries):
+    """``--l`` or ``--eta`` texts: ``n`` entries, or any number, some malformed."""
+    odd = st.sampled_from(("", " 1", "+1", "-0", "1_0", "٢", "1.0", "x"))
+    return st.one_of(
+        st.lists(entries.map(str), min_size=n, max_size=n),
+        st.lists(st.one_of(st.integers(-1, 3).map(str), odd), min_size=1, max_size=4),
+    ).map(",".join)
+
+
+@settings(max_examples=400, deadline=None)  # about 2 s
+@given(st.booleans(), st.data())
+def test_fuzzed_files_and_data_never_exit_five(large, data):
+    # Coordinates near 10**6 go only through decide; size enumerates a grid
+    # and gets at most four small blocks.
+    obj = data.draw(_parameter_files(2 * 10**6 if large else 0))
+    n = sum(block.get("count", 1) for block in obj["blocks"])
+    l_text = data.draw(_integer_list_texts(n, st.integers(0, 2)))
+    eta_text = data.draw(_integer_list_texts(n, st.sampled_from((1, -1))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "psi.json")
+        path.write_text(json.dumps(obj))
+        runs = [["decide", "--file", str(path), f"--l={l_text}", f"--eta={eta_text}"]]
+        if not large and n <= 4:
+            runs.append(["size", "--file", str(path)])
+        for args in runs:
+            res = runner.invoke(main, args)
+            assert res.exit_code in (0, 2, 3), (obj, args, res.output)

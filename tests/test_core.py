@@ -99,6 +99,17 @@ def test_order_coverage_checked():
         is_admissible(AdmissibleOrder(((0,),)), psi)
 
 
+def test_order_rejects_an_empty_fiber():
+    # An empty fiber would spell an admissible order a second, unequal way,
+    # with its own entry in the parameter's caches.
+    psi = Parameter((blk(2, 0, 1), blk(1, 0, -1), blk(3, 1, 1)))
+    assert is_admissible(AdmissibleOrder(((2, 0, 1),)), psi)
+    for per_rho in (((2, 0, 1), ()), ((), (2, 0, 1)), ((),), [[2, 0, 1], []]):
+        with pytest.raises(DataError, match="empty fiber"):
+            AdmissibleOrder(per_rho)
+    assert len(psi._admissible) == 1
+
+
 def test_cached_verdicts_keep_every_check():
     psi = Parameter((blk(2, 1, 1), blk(4, 2, 1), blk(3, 0, -1)))
     good = AdmissibleOrder(((1, 0, 2),))

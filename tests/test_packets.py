@@ -54,16 +54,6 @@ def test_two_equal_blocks_against_two_block_rule():
     )
 
 
-def test_parallel_jobs_match_serial():
-    psi = Parameter(
-        (blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)), group_kind="Sp-even"
-    )
-    serial = enumerate_packet(psi, jobs=1)
-    parallel = enumerate_packet(psi, jobs=2)
-    assert serial == parallel
-    assert len(serial) == 1651
-
-
 def test_explicit_order_agrees_with_natural():
     psi = Parameter((blk(4, 1, 1), blk(3, 2, 1)))
     order = AdmissibleOrder(((1, 0),))

@@ -129,6 +129,7 @@ def parameter_and_order(draw):
         draw(st.permutations([i for i, blk in enumerate(blocks) if blk.rho == rho]))
         for rho in rhos
     ]
+    per_rho = [t for t in per_rho if t]  # a rho without blocks has no fiber
     order = AdmissibleOrder(tuple(map(tuple, draw(st.permutations(per_rho)))))
     return Parameter(tuple(blocks)), order
 
