@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 comparison mismatch, 2 parse error, 3 invalid data,
 4 the ``--recursion-limit`` step budget exceeded, 5 internal error (an
-``InvariantError``, or any other unexpected exception).  Commands raise library
+``InvariantError``, or any other unexpected exception), 141 stdout closed by
+its reader (128 + SIGPIPE, silently).  Commands raise library
 exceptions; ``main`` maps them to codes through the one table ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from typing import Optional
@@ -40,6 +42,7 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_RECURSION = 4
 EXIT_INTERNAL = 5
+EXIT_PIPE = 141
 
 # The most orders ``size --all-orders`` checks; a parameter with more exits 2.
 MAX_ALL_ORDERS = 500
@@ -151,6 +154,11 @@ class _ExitCodeGroup(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except BrokenPipeError:
+            # The reader closed stdout.  Point it at devnull so that the
+            # flush at exit cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_PIPE)
         except Exception as exc:
             for kind, code, message in _EXIT_CODES:
                 if isinstance(exc, kind):

@@ -34,7 +34,6 @@ skeleton it sorts to) when the caller knows its skeleton in advance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .characters import quasisplit_ok
@@ -330,27 +329,17 @@ class Engine:
     # -- fiber normalization ---------------------------------------------
 
     @staticmethod
-    def _canonicalize(seq: Sequence[Rec], plan: Optional[Plan] = None) -> Tuple[Rec, ...]:
+    def _canonicalize(seq: Sequence[Rec]) -> Tuple[Rec, ...]:
         """Sort into ascending natural order, transporting the data, and set
         eta = +1 where it is invisible (2l = A - B + 1).
 
         Raises TransformPreconditionError when a same-zeta swap finds its
         necessary condition violated (which implies the verdict is False).
         """
-        if plan is None:
-            work = transport(seq, [(rec[0], rec[1]) for rec in seq])
-            for i, rec in enumerate(work):
-                if 4 * rec[3] == rec[0] - rec[1] + 2:
-                    work[i] = (rec[0], rec[1], rec[2], rec[3], 1)
-        elif not (plan[0] or plan[1]):
-            # Nothing to swap and no eta that can be invisible.
-            return tuple(seq)
-        else:
-            work = swap_along(seq, plan[0])
-            for i, l in plan[1]:
-                rec = work[i]
-                if rec[3] == l:
-                    work[i] = (rec[0], rec[1], rec[2], l, 1)
+        work = transport(seq, [(rec[0], rec[1]) for rec in seq])
+        for i, rec in enumerate(work):
+            if 4 * rec[3] == rec[0] - rec[1] + 2:
+                work[i] = (rec[0], rec[1], rec[2], rec[3], 1)
         return tuple(work)
 
     # -- fiber decision ---------------------------------------------------
@@ -360,52 +349,67 @@ class Engine:
     ) -> bool:
         """Decide a fiber by a depth-first walk of the rewrites' conjunctions.
 
-        ``plan``, when given, is ``_plan`` of the fiber's skeleton.  A node
+        ``plan``, when given, is ``_plan`` of the fiber's skeleton, and the
+        walk canonicalizes by it in place of ``_canonicalize``.  A node
         with nothing to open (no step, a failed step, or a step whose
         subproblems all have at most one record) is memoized where it is
         decided; a stack frame is pushed only to open a subproblem, and
         closes, memoized, once a subproblem fails or all hold.  Memo hits
         are reused with or without a trace, so a trace lists only the steps
-        this walk takes.
+        this walk takes.  The walk counts steps in a local, written back to
+        ``_steps`` on return and before raising.
         """
         self._decisions += 1
-        memo = self._memo
+        first = self._decisions == 1
+        memo, rules = self._memo, self._rules
+        steps, limit = self._steps, self.recursion_limit
         stack: List[Tuple[Tuple[Rec, ...], tuple, Iterator]] = []
         pending = seq
         while True:
             try:
-                canon = self._canonicalize(pending, plan)
+                if plan is None:
+                    canon = self._canonicalize(pending)
+                elif plan[0] or plan[1]:
+                    work = swap_along(pending, plan[0])
+                    for i, l in plan[1]:
+                        rec = work[i]
+                        if rec[3] == l:
+                            work[i] = (rec[0], rec[1], rec[2], l, 1)
+                    canon = tuple(work)
+                else:
+                    # Nothing to swap and no eta that can be invisible.
+                    canon = tuple(pending)
             except TransformPreconditionError:
                 verdict = False
             else:
                 verdict = memo.get(canon)
                 if verdict is None:
-                    if self._decisions == 1:
+                    if first:
                         stored = [_rule(canon), None]
                     else:
                         skeleton = plan[2] if plan else tuple([rec[:3] for rec in canon])
-                        stored = self._rules.get(skeleton)
+                        stored = rules.get(skeleton)
                         if stored is None:
-                            stored = self._rules[skeleton] = [_rule(canon), None]
+                            stored = rules[skeleton] = [_rule(canon), None]
                     kind, after, verdict = _apply(stored[0], canon)
                     if kind is not None:
                         if stored[1] is None:
                             if not decreases(canon, after):
+                                self._steps = steps
                                 step = ReductionStep(kind, canon, after)
                                 raise InvariantError(
                                     f"termination measure failed to decrease on {kind}: "
                                     f"{step.measure_before} -> {step.measure_after}"
                                 )
                             stored[1] = tuple(
-                                (i, None if self._decisions == 1 else _plan(sub))
+                                (i, None if first else _plan(sub))
                                 for i, sub in enumerate(after)
                                 if len(sub) > 1
                             )
-                        self._steps += 1
-                        if self._steps > self.recursion_limit:
-                            raise RecursionLimitError(
-                                f"reduction-step budget of {self.recursion_limit} exceeded"
-                            )
+                        steps += 1
+                        if steps > limit:
+                            self._steps = steps
+                            raise RecursionLimitError(f"reduction-step budget of {limit} exceeded")
                         if trace is not None:
                             trace.append(ReductionStep(kind, canon, after))
                         if verdict and stored[1]:
@@ -426,6 +430,7 @@ class Engine:
                 stack.pop()
                 memo[canon] = verdict
             else:
+                self._steps = steps
                 return verdict
 
     # -- public API -------------------------------------------------------
@@ -452,7 +457,9 @@ class Engine:
         plans: Optional[Sequence[Plan]] = None,
     ) -> Verdict:
         """The conjunction of the fibers' verdicts, each fiber given as its
-        records in ascending order; nothing is validated here.
+        records in ascending order; nothing is validated here.  The one
+        per-decision entry point: it walks the fibers in turn with
+        ``_fiber_decide`` until one vanishes, all on one step budget.
 
         ``plans``, aligned with ``fibers``, holds each fiber's ``_plan``
         when its skeleton is known in advance, as in the packet plan: then
@@ -460,7 +467,11 @@ class Engine:
         """
         trace: Optional[list] = [] if collect_trace else None
         self._steps = 0
-        ok = all(map(self._fiber_decide, fibers, repeat(trace), plans or repeat(None)))
+        ok = True
+        for seq, plan in zip(fibers, plans or [None] * len(fibers)):
+            if not self._fiber_decide(seq, trace, plan):
+                ok = False
+                break
         if trace is None:
             return _HOLDS if ok else _VANISHES
         return Verdict(ok, tuple(trace))

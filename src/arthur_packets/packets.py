@@ -6,13 +6,15 @@ l = (A - B + 1) / 2); ``candidates`` lists it.  A packet is not found by
 filtering that grid point by point: the verdict on (l, eta) is the
 conjunction of independent per-fiber verdicts, and the quasisplit constraint
 asks the product of the per-block signs to be +1.  So ``_plan`` compiles each
-fiber of the order once, as a record template with its part of the grid and
-each choice's sign, and decides every needed fiber choice once with
-``Engine._decide_unchecked`` (one ``_fiber_decide`` walk, with its own step
-budget).  Every choice fills the same template, so the engine's
-canonicalization plan of the template (its sort schedule and invisible-eta
-positions, ``engine._plan``) is compiled with it and passed along: no choice
-works out a schedule again, and each still runs every swap and its checks.
+fiber of the order once with its part of the grid, each choice with its sign
+and records (2A, 2B, zeta, l, eta), and decides every needed fiber choice
+once with ``Engine._decide_unchecked`` (one ``_fiber_decide`` walk, with its
+own step budget) on its records in the fiber order, picked by one
+``itemgetter`` per fiber: no decision builds a record.  Every choice has the
+same skeleton, so the engine's canonicalization plan of it (its sort schedule
+and invisible-eta positions, ``engine._plan``) is compiled with the fiber and
+passed along: no choice works out a schedule again, and each still runs every
+swap and its checks.
 ``enumerate_packet`` is the product of the per-fiber member lists
 with sign product +1, sorted for determinism: each fiber's members are split
 by sign, so only products that can still reach +1 are built (at the last
@@ -25,38 +27,41 @@ the caller's one engine, so all of them share its memo.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .characters import _eps
 from .core import AdmissibleOrder, DataError, Parameter, SignedData, is_admissible, natural_order
 from .engine import Engine, _plan as _canonical_plan
+from .transforms import Rec
 
 if TYPE_CHECKING:
     from .engine import Plan
 
-# A fiber choice: the sign product of its blocks, then its l and eta on the
-# fiber's occurrences in ascending index order.
-Choice = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+# A fiber choice: the sign product of its blocks, its l and eta on the
+# fiber's occurrences in ascending index order, and those occurrences'
+# records (2A, 2B, zeta, l, eta) in the same order.
+Choice = Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[Rec, ...]]
 # A fiber's members of one sign: (l, eta) on its occurrences, ascending.
 Member = Tuple[Tuple[int, ...], Tuple[int, ...]]
-# A fiber's records in ascending order of the fiber order, each as the
-# position of its (l, eta) in a choice and its (2A, 2B, zeta).
-Template = Tuple[Tuple[int, Tuple[int, int, int]], ...]
 
 
 def _choices(records: Sequence[Tuple[int, int, int]]) -> List[Choice]:
     """The canonical grid of blocks with these (2A, 2B, zeta), each point
-    with its sign product."""
-    rows = [(1, (), ())]  # (sign, l, eta) over the blocks so far
-    for tA, tB, _ in records:
-        d = (tA - tB) // 2
+    with its sign product and its records.  Each block option's record is
+    built once and shared by every point that takes it."""
+    rows = [(1, (), (), ())]  # (sign, l, eta, records) over the blocks so far
+    for rec in records:
+        d = (rec[0] - rec[1]) // 2
         options = [
-            (l, eta, _eps(d, l, eta))
+            (l, eta, _eps(d, l, eta), rec + (l, eta))
             for l in range((d + 1) // 2 + 1)
             for eta in ((1,) if 2 * l == d + 1 else (1, -1))
         ]
         rows = [
-            (s * sign, l + (li,), eta + (e,)) for s, l, eta in rows for li, e, sign in options
+            (s * sign, l + (li,), eta + (e,), recs + (full,))
+            for s, l, eta, recs in rows
+            for li, e, sign, full in options
         ]
     return rows
 
@@ -67,43 +72,42 @@ def candidates(psi: Parameter) -> List[SignedData]:
     The packet plan does not list it; it is the reference for tests and tools
     that check the plan point by point.
     """
-    return [SignedData(l, eta) for _, l, eta in _choices(psi.records)]
+    return [SignedData(l, eta) for _, l, eta, _ in _choices(psi.records)]
 
 
 class _Fiber(NamedTuple):
     """One fiber of the order, compiled."""
 
     occurrences: Tuple[int, ...]  # ascending occurrence indices in psi
-    template: Template  # its records in the fiber order, ascending
-    plan: Plan  # the engine's canonicalization plan of the template
-    choices: List[Choice]  # its part of the canonical grid, with signs
+    # A choice's records in the fiber order, ascending, from its records in
+    # occurrence order; None when the two orders agree.
+    pick: Optional[Callable[[Tuple[Rec, ...]], Tuple[Rec, ...]]]
+    plan: Plan  # the engine's canonicalization plan of those records
+    choices: List[Choice]  # its part of the canonical grid, with signs and records
 
 
 def _fiber(psi: Parameter, fiber: Tuple[int, ...]) -> _Fiber:
     """Compile one fiber order (occurrences listed greatest first)."""
     occurrences = tuple(sorted(fiber))
     position = {occ: i for i, occ in enumerate(occurrences)}
+    positions = [position[occ] for occ in reversed(fiber)]
     records = psi.records
-    template = tuple((position[occ], records[occ]) for occ in reversed(fiber))
     return _Fiber(
         occurrences,
-        template,
-        _canonical_plan([rec for _, rec in template]),
+        None if positions == sorted(positions) else itemgetter(*positions),
+        _canonical_plan([records[occ] for occ in reversed(fiber)]),
         _choices([records[occ] for occ in occurrences]),
     )
 
 
-def _fiber_members(
-    template: Template, plan: Plan, choices: List[Choice], engine: Engine
-) -> List[Choice]:
-    """The choices on a fiber's template that are nonvanishing."""
+def _fiber_members(fib: _Fiber, choices: List[Choice], engine: Engine) -> List[Choice]:
+    """The choices on a fiber that are nonvanishing."""
     decide = engine._decide_unchecked
-    plans = (plan,)
-    return [
-        c
-        for c in choices
-        if decide(([rec + (c[1][i], c[2][i]) for i, rec in template],), False, plans).nonvanishing
-    ]
+    plans = (fib.plan,)
+    pick = fib.pick
+    if pick is None:
+        return [c for c in choices if decide((c[3],), False, plans).nonvanishing]
+    return [c for c in choices if decide((pick(c[3]),), False, plans).nonvanishing]
 
 
 def _reachable(k: int, n: int) -> Tuple[int, ...]:
@@ -138,7 +142,7 @@ def _plan(
         wanted = {s * u for s, n in counts.items() if n for u in reach}
         choices = [c for c in fib.choices if c[0] in wanted]
         by_sign: Dict[int, List[Member]] = {1: [], -1: []}
-        for t, m, e in _fiber_members(fib.template, fib.plan, choices, engine):
+        for t, m, e, _ in _fiber_members(fib, choices, engine):
             by_sign[t].append((m, e))
         lists.append(by_sign)
         counts = {

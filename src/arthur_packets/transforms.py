@@ -22,8 +22,9 @@ fiber whose order changes, a pair program: the occurrences, kind and A - B
 values of each swap, run in place on the (l, eta) lists.  The order each
 moving fiber reaches is a function of its schedule alone, so it is checked
 once, when the pair of orders is compiled; a fiber in the same order in both
-has no swap and keeps its (l, eta).  Every call still checks the bounds,
-both orders and each swap's conditions.
+has no swap and keeps its (l, eta).  Both orders are checked when the pair
+is compiled; the compiled pair is kept only for admissible orders.  Every
+call still checks the bounds and each swap's conditions.
 """
 
 from __future__ import annotations
@@ -294,10 +295,10 @@ def sigma0_canonical(psi: Parameter, data: SignedData) -> SignedData:
 # ---------------------------------------------------------------------------
 
 def _transports(psi: Parameter, from_order: AdmissibleOrder, to_order: AdmissibleOrder):
-    """The pair program of each fiber whose order differs between the two
-    orders: its swaps as ``(kind, a, b, d_a, d_b)``, the pair function's two
-    occurrences in its argument order and their A - B.  A fiber in the same
-    order in both leaves its (l, eta) as they are.
+    """Compile the pair program of each fiber whose order differs between
+    the two admissible orders: its swaps as ``(kind, a, b, d_a, d_b)``, the
+    pair function's two occurrences in its argument order and their A - B.
+    A fiber in the same order in both leaves its (l, eta) as they are.
 
     The programs depend only on the two orders, so each pair is compiled once
     and kept on ``psi``.  A swap moves the records' (2A, 2B, zeta) by
@@ -305,29 +306,26 @@ def _transports(psi: Parameter, from_order: AdmissibleOrder, to_order: Admissibl
     checked here, once; a pair that does not reach ``to_order`` raises and
     keeps nothing.
     """
-    key = (from_order, to_order)
-    compiled = psi._transports.get(key)
-    if compiled is None:
-        records, blocks, target_rank = psi.records, psi.blocks, to_order._rank
-        programs = []
-        for current, target in zip(from_order._fibers, to_order._fibers):
-            if current == target:
-                continue
-            # Both fibers list greatest first; programs run ascending.
-            work, want = list(current[::-1]), target[::-1]
-            steps = []
-            for i in swap_schedule([target_rank[occ] for occ in work]):
-                lower, upper = work[i], work[i + 1]
-                kind = pair_kind(*records[lower], *records[upper])
-                # s_minus_pair takes the lower block first, u_pair and s_plus_pair the upper.
-                a, b = (lower, upper) if kind == S_MINUS else (upper, lower)
-                steps.append((kind, a, b, blocks[a].d, blocks[b].d))
-                work[i], work[i + 1] = upper, lower
-            if tuple(work) != want:
-                raise InvariantError("reorder did not reach the target order")
-            programs.append(tuple(steps))
-        compiled = psi._transports[key] = tuple(programs)
-    return compiled
+    records, blocks, target_rank = psi.records, psi.blocks, to_order._rank
+    programs = []
+    for current, target in zip(from_order._fibers, to_order._fibers):
+        if current == target:
+            continue
+        # Both fibers list greatest first; programs run ascending.
+        work, want = list(current[::-1]), target[::-1]
+        steps = []
+        for i in swap_schedule([target_rank[occ] for occ in work]):
+            lower, upper = work[i], work[i + 1]
+            kind = pair_kind(*records[lower], *records[upper])
+            # s_minus_pair takes the lower block first, u_pair and s_plus_pair the upper.
+            a, b = (lower, upper) if kind == S_MINUS else (upper, lower)
+            steps.append((kind, a, b, blocks[a].d, blocks[b].d))
+            work[i], work[i + 1] = upper, lower
+        if tuple(work) != want:
+            raise InvariantError("reorder did not reach the target order")
+        programs.append(tuple(steps))
+    psi._transports[from_order, to_order] = programs = tuple(programs)
+    return programs
 
 
 def reorder(
@@ -338,22 +336,26 @@ def reorder(
 ) -> SignedData:
     """Transport (l, eta) from one admissible order to another.
 
-    The bounds, both orders and every swap's conditions are checked on every
-    call; the pair programs, and with them the order each moving fiber
-    reaches, are compiled and checked once per pair of orders.
+    The bounds and every swap's conditions are checked on every call.  Both
+    orders are checked when the pair is compiled; the compiled pair is kept
+    only for admissible orders.  The pair programs, and with them the order
+    each moving fiber reaches, are compiled and checked once per pair.
     """
     data.check_bounds(psi)
-    if not is_admissible(from_order, psi):
-        raise DataError("from_order is not admissible")
-    if not is_admissible(to_order, psi):
-        raise DataError("to_order is not admissible")
+    programs = psi._transports.get((from_order, to_order))
+    if programs is None:
+        if not is_admissible(from_order, psi):
+            raise DataError("from_order is not admissible")
+        if not is_admissible(to_order, psi):
+            raise DataError("to_order is not admissible")
+        programs = _transports(psi, from_order, to_order)
     l = list(data.l)
     eta = list(data.eta)
     # The maps indexed by kind, looked up on every call rather than kept in
     # the programs, so that a pair function wrapped after compilation is the
     # one called.
     pair = (u_pair, s_plus_pair, s_minus_pair, _neither_nested)
-    for program in _transports(psi, from_order, to_order):
+    for program in programs:
         for kind, a, b, d_a, d_b in program:
             l[a], eta[a], l[b], eta[b] = pair[kind](d_a, d_b, l[a], eta[a], l[b], eta[b])
     return SignedData(tuple(l), tuple(eta))

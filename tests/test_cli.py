@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -596,3 +598,26 @@ def test_fuzzed_files_and_data_never_exit_five(large, data):
         for args in runs:
             res = runner.invoke(main, args)
             assert res.exit_code in (0, 2, 3), (obj, args, res.output)
+
+
+def test_closed_stdout_exits_141_silently(tmp_path):
+    # Three one-block fibers: 37 045 members, about 780 kB of table output,
+    # more than a pipe buffer holds, so the command is still writing when
+    # its reader goes away after the first line.
+    path = tmp_path / "three.json"
+    blocks = [{"rho": rho, "A": 40, "B": 0, "zeta": 1} for rho in "abc"]
+    path.write_text(json.dumps({"blocks": blocks}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arthur_packets.cli", "enumerate", "--file", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert first.startswith(b"l=0,0,0 ")
+    assert stderr == b""

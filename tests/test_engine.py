@@ -163,6 +163,30 @@ def test_recursion_limit():
         eng.decide(psi, order, SignedData((10, 10, 2), (1, 1, 1)))
 
 
+def test_fibers_of_one_decision_share_one_step_budget():
+    # Golden's fiber takes 8 steps and a fiber of a second rho 5 more, with
+    # no subproblem in common.  One call over both counts 13 steps against
+    # one budget: a limit of 12 raises although each fiber alone fits in it,
+    # 13 does not, and traced and untraced calls agree at every limit.
+    sigma = RhoLabel("s", "orthogonal", 1)
+    psi = Parameter(
+        (blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1))
+        + (blk(6, 1, 1, sigma), blk(4, 2, 1, sigma), blk(3, 0, -1, sigma))
+    )
+    fibers = _fibers(psi, natural_order(psi), SignedData((10, 10, 2, 0, 0, 0), (1, 1, 1, 1, 1, -1)))
+    assert [len(Engine()._decide_unchecked([f], True).trace) for f in fibers] == [8, 5]
+
+    def outcome(limit, collect_trace):
+        try:
+            return Engine(recursion_limit=limit)._decide_unchecked(fibers, collect_trace).nonvanishing
+        except RecursionLimitError:
+            return None
+
+    for limit in range(15):
+        assert outcome(limit, False) == outcome(limit, True), limit
+    assert (outcome(12, False), outcome(13, False)) == (None, True)
+
+
 def test_golden_instance_verdicts_deterministic():
     psi, order = _golden()
     eng = Engine()

@@ -1,3 +1,6 @@
+import random
+
+from arthur_packets import packets
 from arthur_packets.characters import quasisplit_ok
 from arthur_packets.core import (
     AdmissibleOrder,
@@ -5,10 +8,14 @@ from arthur_packets.core import (
     Parameter,
     RhoLabel,
     SignedData,
+    all_admissible_orders,
 )
-from arthur_packets.halfint import hi
+from arthur_packets.engine import Engine
+from arthur_packets.halfint import HalfInt, hi
 from arthur_packets.oracle import oracle_two_block
 from arthur_packets.packets import candidates, enumerate_packet, packet_size
+
+from test_acceptance import _random_parameter  # the criterion-5 generator
 
 RHO = RhoLabel("r", "orthogonal", 1)
 
@@ -58,3 +65,53 @@ def test_explicit_order_agrees_with_natural():
     psi = Parameter((blk(4, 1, 1), blk(3, 2, 1)))
     order = AdmissibleOrder(((1, 0),))
     assert packet_size(psi) == packet_size(psi, order=order)
+
+
+def _record_cases():
+    """Golden, the first 20 criterion-5 parameters and one half-integral fiber."""
+    golden = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)))
+    half = Parameter(
+        tuple(JordanBlock(RHO, HalfInt(tA), HalfInt(tB), z) for tA, tB, z in
+              ((7, 1, 1), (5, 3, -1), (3, 1, 1)))
+    )
+    cases = [golden, half]
+    rng = random.Random(99)
+    while len(cases) < 22:
+        psi = _random_parameter(rng)
+        if len(all_admissible_orders(psi, limit=3)) >= 3:
+            cases.append(psi)
+    return cases
+
+
+def test_grid_rows_carry_their_records():
+    for psi in _record_cases():
+        rows = packets._choices(psi.records)
+        assert [SignedData(l, eta) for _, l, eta, _ in rows] == candidates(psi)
+        for _, l, eta, recs in rows:
+            assert recs == tuple(rec + (l[i], eta[i]) for i, rec in enumerate(psi.records))
+        # Each block option's record is one object shared across the grid.
+        for i in range(len(psi.blocks)):
+            assert len({id(row[3][i]) for row in rows}) == len({row[3][i] for row in rows})
+
+
+def test_fiber_members_match_records_built_per_choice():
+    # Every fiber of every admissible order (at most 50 per parameter): the
+    # plan's members against each choice's records built here, in the
+    # fiber order, and decided without a canonicalization plan.
+    checked = 0
+    for psi in _record_cases():
+        records = psi.records
+        planned, reference = Engine(), Engine()
+        for order in all_admissible_orders(psi, limit=50):
+            for fiber in order.fibers():
+                fib = packets._fiber(psi, fiber)
+                want = []
+                for choice in fib.choices:
+                    _, l, eta, _ = choice
+                    at = dict(zip(fib.occurrences, zip(l, eta)))
+                    recs = [records[occ] + at[occ] for occ in reversed(fiber)]
+                    if reference._decide_unchecked([recs]).nonvanishing:
+                        want.append(choice)
+                assert packets._fiber_members(fib, fib.choices, planned) == want, (psi, order)
+                checked += len(fib.choices)
+    assert checked == 142928

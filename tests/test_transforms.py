@@ -461,6 +461,35 @@ def test_reached_order_is_checked_at_compilation(monkeypatch):
     assert psi._transports == {}
 
 
+def test_orders_are_checked_before_and_after_compilation():
+    # An order that is not admissible, and one that leaves an occurrence
+    # out, raise DataError on either side of a pair whether or not another
+    # pair of the same parameter is compiled; neither is ever compiled.
+    psi = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)))
+    natural = AdmissibleOrder(((0, 1, 2),))
+    swapped = AdmissibleOrder(((1, 0, 2),))
+    data = SignedData((10, 10, 2), (1, 1, 1))
+    bad = AdmissibleOrder(((2, 1, 0),))  # block 0 dominates block 2
+    short = AdmissibleOrder(((0, 1),))
+    cases = [
+        ((bad, natural), "^from_order is not admissible$"),
+        ((natural, bad), "^to_order is not admissible$"),
+        ((short, natural), "does not cover"),
+        ((natural, short), "does not cover"),
+    ]
+
+    def each_bad_order_raises():
+        for pair, message in cases:
+            with pytest.raises(DataError, match=message):
+                reorder(psi, *pair, data)
+
+    each_bad_order_raises()
+    assert psi._transports == {}
+    assert reorder(psi, natural, swapped, data) == SignedData((10, 10, 2), (-1, -1, 1))
+    each_bad_order_raises()
+    assert list(psi._transports) == [(natural, swapped)]
+
+
 def test_swap_conditions_are_checked_on_every_call():
     # S+ needs 0 <= l_big - l_small here (equal etas, d_small even); the
     # compiled pair of orders still raises on the second call.

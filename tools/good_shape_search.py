@@ -99,9 +99,7 @@ def search(good: Callable, blocks: Sequence[int], top: int) -> Found:
             if good(skel) == rule(skel):
                 continue
             disagree += 1
-            fibers = [
-                [rec + (l[i], eta[i]) for i, rec in enumerate(skel)] for _, l, eta in _choices(skel)
-            ]
+            fibers = [recs for _, _, _, recs in _choices(skel)]
             want = _decide(rule, ruled, fibers)
             got = _decide(good, varied, fibers)
             points += len(fibers)
