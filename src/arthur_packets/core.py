@@ -40,12 +40,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_sign(z, what: str) -> int:
-    if not (_is_int(z) and z in (1, -1)):
-        raise ParameterError(f"{what} must be +1 or -1, got {z!r}")
-    return z
-
-
 @dataclass(frozen=True)
 class RhoLabel:
     """An opaque label for a self-dual supercuspidal factor, with parity and dimension."""
@@ -73,7 +67,8 @@ class JordanBlock:
     def __post_init__(self):
         object.__setattr__(self, "A", hi(self.A))
         object.__setattr__(self, "B", hi(self.B))
-        _check_sign(self.zeta, "zeta")
+        if not (_is_int(self.zeta) and self.zeta in (1, -1)):
+            raise ParameterError(f"zeta must be +1 or -1, got {self.zeta!r}")
         if not (self.A >= self.B >= 0):
             raise ParameterError(f"need A >= B >= 0, got A={self.A}, B={self.B}")
         if (self.A.twice - self.B.twice) % 2 != 0:
@@ -229,28 +224,33 @@ class AdmissibleOrder:
 
 @dataclass(frozen=True)
 class SignedData:
-    """Packet coordinates: an integer l and a sign eta per block occurrence."""
+    """Packet coordinates: an integer l and a sign eta per block occurrence.
+
+    ``_derived(l, eta)`` builds one without ``__post_init__``'s checks.  Only
+    the library calls it, on tuples of plain ints that it derived from
+    checked data (grid rows, pair programs), never on a caller's input.
+    """
 
     l: Tuple[int, ...]
     eta: Tuple[Sign, ...]
 
+    @classmethod
+    def _derived(cls, l, eta, _new=object.__new__, _set=object.__setattr__):
+        data = _new(cls)
+        _set(data, "l", l)
+        _set(data, "eta", eta)
+        return data
+
     def __post_init__(self):
-        l, eta = self.l, self.eta
-        if type(l) is not tuple:
-            l = tuple(l)
-            object.__setattr__(self, "l", l)
-        if type(eta) is not tuple:
-            eta = tuple(eta)
-            object.__setattr__(self, "eta", eta)
-        if len(l) != len(eta):
+        object.__setattr__(self, "l", tuple(self.l))
+        object.__setattr__(self, "eta", tuple(self.eta))
+        if len(self.l) != len(self.eta):
             raise DataError("l and eta must have the same length")
         # Records are built from these, so 9.5, 1.0 or True must not pass.
-        # A plain int is accepted on its type alone.
-        for x in l:
-            if type(x) is not int and not _is_int(x):
-                raise DataError(f"l entries must be integers, got {l!r}")
-        for e in eta:
-            if (type(e) is not int and not _is_int(e)) or (e != 1 and e != -1):
+        if not all(map(_is_int, self.l)):
+            raise DataError(f"l entries must be integers, got {self.l!r}")
+        for e in self.eta:
+            if not (_is_int(e) and e in (1, -1)):
                 raise DataError(f"eta entries must be +1/-1, got {e!r}")
 
     def check_bounds(self, psi: Parameter) -> None:

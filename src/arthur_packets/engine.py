@@ -315,6 +315,10 @@ class Engine:
     for them in memory.  The measure decrease is checked on each step whose
     rule is not stored, and on a stored rule's first step, which fills its
     plans whatever that step's verdict.
+
+    ``_grids`` holds the packet plan's fiber grids (``packets._choices``
+    rows by fiber records) of one parameter, ``_grids_of``, the last one
+    planned: the orders of a parameter share them.
     """
 
     def __init__(self, recursion_limit: int = 10000):
@@ -325,6 +329,8 @@ class Engine:
         # the (index, plan) of each of that step's subproblems that can fail]
         self._rules: Dict[Skeleton, list] = {}
         self._decisions = 0
+        self._grids: Dict[tuple, list] = {}
+        self._grids_of: Optional[Parameter] = None
 
     # -- fiber normalization ---------------------------------------------
 

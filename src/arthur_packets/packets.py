@@ -22,11 +22,14 @@ fiber a row pairs only with members of its own sign), and the concatenated
 data are mapped back to occurrence order only when the fibers interleave.
 ``packet_size`` only counts those products by sign.  This plan is the
 library's one member filter.  It runs serially: every choice is decided by
-the caller's one engine, so all of them share its memo.
+the caller's one engine, so all of them share its memo, and the orders of
+one parameter share its grids (``Engine._grids``): a fiber's grid depends
+only on its records.
 """
 
 from __future__ import annotations
 
+from itertools import starmap
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -72,7 +75,7 @@ def candidates(psi: Parameter) -> List[SignedData]:
     The packet plan does not list it; it is the reference for tests and tools
     that check the plan point by point.
     """
-    return [SignedData(l, eta) for _, l, eta, _ in _choices(psi.records)]
+    return [SignedData._derived(l, eta) for _, l, eta, _ in _choices(psi.records)]
 
 
 class _Fiber(NamedTuple):
@@ -86,17 +89,20 @@ class _Fiber(NamedTuple):
     choices: List[Choice]  # its part of the canonical grid, with signs and records
 
 
-def _fiber(psi: Parameter, fiber: Tuple[int, ...]) -> _Fiber:
-    """Compile one fiber order (occurrences listed greatest first)."""
+def _fiber(psi: Parameter, fiber: Tuple[int, ...], grids: Optional[dict] = None) -> _Fiber:
+    """Compile one fiber order (occurrences listed greatest first); its grid
+    is read from, or stored in, ``grids`` (records -> rows) when given."""
     occurrences = tuple(sorted(fiber))
     position = {occ: i for i, occ in enumerate(occurrences)}
     positions = [position[occ] for occ in reversed(fiber)]
     records = psi.records
+    key = tuple([records[occ] for occ in occurrences])
+    grids = {} if grids is None else grids
     return _Fiber(
         occurrences,
         None if positions == sorted(positions) else itemgetter(*positions),
         _canonical_plan([records[occ] for occ in reversed(fiber)]),
-        _choices([records[occ] for occ in occurrences]),
+        grids.get(key) or grids.setdefault(key, _choices(key)),
     )
 
 
@@ -134,7 +140,9 @@ def _plan(
     if not is_admissible(order, psi):
         raise DataError("order is not admissible")
     engine = engine or Engine()
-    fibers = [_fiber(psi, fiber) for fiber in order.fibers()]
+    if engine._grids_of is not psi:
+        engine._grids_of, engine._grids = psi, {}
+    fibers = [_fiber(psi, fiber, engine._grids) for fiber in order.fibers()]
     lists: List[Dict[int, List[Member]]] = []
     counts = {1: 1, -1: 0}
     for k, fib in enumerate(fibers):
@@ -186,7 +194,7 @@ def enumerate_packet(
             for l, eta in members
         ]
     members.sort()
-    return [SignedData(l, eta) for l, eta in members]
+    return list(starmap(SignedData._derived, members))
 
 
 def packet_size(

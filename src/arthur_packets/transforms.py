@@ -287,7 +287,7 @@ def sigma0_canonical(psi: Parameter, data: SignedData) -> SignedData:
     for i, blk in enumerate(psi.blocks):
         if blk.eta_is_free_at(data.l[i]):
             eta[i] = 1
-    return SignedData(data.l, tuple(eta))
+    return SignedData._derived(data.l, tuple(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -358,4 +358,4 @@ def reorder(
     for program in programs:
         for kind, a, b, d_a, d_b in program:
             l[a], eta[a], l[b], eta[b] = pair[kind](d_a, d_b, l[a], eta[a], l[b], eta[b])
-    return SignedData(tuple(l), tuple(eta))
+    return SignedData._derived(tuple(l), tuple(eta))

@@ -1,5 +1,7 @@
+import dataclasses
 import enum
 import itertools
+import pickle
 import random
 import time
 
@@ -22,6 +24,7 @@ from arthur_packets.core import (
 )
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import hi
+from arthur_packets.transforms import reorder
 from test_acceptance import _random_parameter, _small_fiber_parameters
 
 RHO = RhoLabel("r", "orthogonal", 1)
@@ -279,6 +282,33 @@ def test_signed_data_accept_set():
     # An int subclass other than bool is an integer.
     data = SignedData((_Sign.PLUS, 0), (_Sign.MINUS, 1))
     assert data == SignedData((1, 0), (-1, 1))
+
+
+def test_derived_signed_data_behaves_like_a_checked_one():
+    # The library's unchecked constructor gives the same object a caller's
+    # checked one does; a caller's data is still checked.
+    checked = SignedData((2, 0, 1), (1, -1, 1))
+    derived = SignedData._derived((2, 0, 1), (1, -1, 1))
+    assert derived == checked and checked == derived
+    assert hash(derived) == hash(checked)
+    assert repr(derived) == repr(checked) == "SignedData(l=(2, 0, 1), eta=(1, -1, 1))"
+    assert pickle.loads(pickle.dumps(derived)) == checked
+    assert dataclasses.asdict(derived) == dataclasses.asdict(checked)
+    assert {derived: 1}[checked] == 1
+    for field in ("l", "eta"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(derived, field, (0, 0, 0))
+    for l, eta in (((1.0, 0, 1), (1, 1, 1)), ((True, 0, 1), (1, 1, 1)), ((1, 0, 1), (1, 2, 1))):
+        with pytest.raises(DataError):
+            SignedData(l, eta)
+    # reorder and Engine.decide still refuse data out of bounds.
+    golden = Parameter((blk(40, 10, 1), blk(37, 7, -1), blk(8, 4, 1)), group_kind="Sp-even")
+    natural, swapped = AdmissibleOrder(((0, 1, 2),)), AdmissibleOrder(((1, 0, 2),))
+    for data in (SignedData((10, 10, 3), (1, 1, 1)), SignedData((10, 10), (1, 1))):
+        with pytest.raises(DataError):
+            reorder(golden, natural, swapped, data)
+        with pytest.raises(DataError):
+            Engine().decide(golden, natural, data)
 
 
 def test_json_round_trip_with_counts_and_halfints():

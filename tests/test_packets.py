@@ -9,11 +9,14 @@ from arthur_packets.core import (
     RhoLabel,
     SignedData,
     all_admissible_orders,
+    natural_order,
+    parameter_from_json,
 )
 from arthur_packets.engine import Engine
 from arthur_packets.halfint import HalfInt, hi
 from arthur_packets.oracle import oracle_two_block
 from arthur_packets.packets import candidates, enumerate_packet, packet_size
+from arthur_packets.transforms import reorder, sigma0_canonical
 
 from test_acceptance import _random_parameter  # the criterion-5 generator
 
@@ -115,3 +118,80 @@ def test_fiber_members_match_records_built_per_choice():
                 assert packets._fiber_members(fib, fib.choices, planned) == want, (psi, order)
                 checked += len(fib.choices)
     assert checked == 142928
+
+
+# The half-integral, interleaved two-fiber file that CI pins (104 members).
+HALF_INTEGRAL_FILE = {
+    "blocks": [
+        {"rho": "a", "A": "7/2", "B": "1/2", "zeta": 1},
+        {"rho": "b", "A": 3, "B": 1, "zeta": -1},
+        {"rho": "a", "A": "5/2", "B": "3/2", "zeta": -1},
+        {"rho": "b", "A": 2, "B": 0, "zeta": 1},
+        {"rho": "a", "A": "3/2", "B": "1/2", "zeta": 1},
+    ]
+}
+
+
+def _assert_checked(psi, d):
+    """``d`` passes every check a caller's SignedData gets."""
+    assert SignedData(d.l, d.eta) == d
+    assert type(d.l) is tuple and type(d.eta) is tuple
+    assert all(type(x) is int for x in d.l + d.eta), d
+    d.check_bounds(psi)
+
+
+def test_library_built_data_pass_the_caller_checks():
+    # enumerate_packet, reorder, candidates and sigma0_canonical build their
+    # results unchecked; every one of them must pass the checks anyway.
+    cases = _record_cases() + [parameter_from_json(HALF_INTEGRAL_FILE)[0]]
+    members = images = 0
+    for psi in cases:
+        orders = all_admissible_orders(psi, limit=3)
+        engine = Engine()
+        packs = [enumerate_packet(psi, order, engine=engine) for order in orders]
+        for pack in packs:
+            for d in pack:
+                _assert_checked(psi, d)
+                assert quasisplit_ok(psi, d)
+            members += len(pack)
+        second = orders[1] if len(orders) > 1 else orders[0]
+        for d in packs[0]:
+            image = reorder(psi, orders[0], second, d)
+            _assert_checked(psi, image)
+            assert quasisplit_ok(psi, image)
+            images += 1
+        for d in candidates(psi):
+            _assert_checked(psi, d)
+            _assert_checked(psi, sigma0_canonical(psi, d))
+    assert (members, images) == (41253, 13751)
+
+
+def test_grids_are_kept_for_the_last_parameter_planned(monkeypatch):
+    # One engine plans psi A under three orders, then B, then A again; its
+    # members are those of a fresh engine each time.
+    cases = _record_cases()
+    a = next(psi for psi in cases if len(psi.fibers()) == 2)
+    b = cases[0]
+    orders_a = all_admissible_orders(a, limit=3)
+    assert len(orders_a) == 3
+    runs = [(a, order) for order in orders_a] + [(b, natural_order(b)), (a, orders_a[0])]
+    want = [enumerate_packet(psi, order, engine=Engine()) for psi, order in runs]
+    fiber_records = lambda psi: [tuple(psi.records[i] for i in ix) for ix in psi.fibers().values()]
+    calls = []
+    choices = packets._choices
+    monkeypatch.setattr(packets, "_choices", lambda records: calls.append(records) or choices(records))
+    engine = Engine()
+    got = [enumerate_packet(psi, order, engine=engine) for psi, order in runs[:3]]
+    # A's two fibers have different records; each grid is built once.
+    assert calls == fiber_records(a) and len(set(calls)) == 2
+    assert engine._grids_of is a and list(engine._grids) == fiber_records(a)
+    grids_a = list(engine._grids.values())
+    got.append(enumerate_packet(b, runs[3][1], engine=engine))
+    # After B the engine holds B's grids only.
+    assert engine._grids_of is b and list(engine._grids) == fiber_records(b)
+    assert not any(g is h for g in engine._grids.values() for h in grids_a)
+    del calls[:]
+    got.append(enumerate_packet(a, orders_a[0], engine=engine))
+    # A's grids were dropped with B, so they are built again.
+    assert calls == fiber_records(a) and engine._grids_of is a
+    assert got == want
