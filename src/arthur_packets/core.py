@@ -182,7 +182,8 @@ class Parameter:
 
 @dataclass(frozen=True)
 class AdmissibleOrder:
-    """Per-rho total orders; each tuple lists occurrence indices greatest first."""
+    """Per-rho total orders; each tuple lists occurrence indices greatest
+    first, and the tuples are sorted by least occurrence, as fibers are."""
 
     per_rho: Tuple[Tuple[int, ...], ...]
 
@@ -191,18 +192,16 @@ class AdmissibleOrder:
         # Verdicts are cached by order, so 1.0 or True must not pass for 1.
         if not all(_is_int(occ) for t in self.per_rho for occ in t):
             raise DataError(f"order entries must be integers, got {self.per_rho!r}")
-        # One spelling per order: an empty fiber would make a second, unequal one.
+        # One spelling per order: an empty fiber, or the fibers in another
+        # sequence, would make a second, unequal one.
         if not all(self.per_rho):
             raise DataError(f"order has an empty fiber: {self.per_rho!r}")
+        object.__setattr__(self, "per_rho", tuple(sorted(self.per_rho, key=min)))
         # Orders key the per-parameter caches, so the hash is computed once.
         object.__setattr__(self, "_hash", hash(self.per_rho))
 
     def __hash__(self):
         return self._hash
-
-    @cached_property
-    def _fibers(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(sorted(self.per_rho, key=min))
 
     @cached_property
     def _rank(self) -> Dict[int, int]:
@@ -215,7 +214,7 @@ class AdmissibleOrder:
 
     def fibers(self) -> List[Tuple[int, ...]]:
         """The fiber orders by least occurrence, the order of ``Parameter.fibers``."""
-        return list(self._fibers)
+        return list(self.per_rho)
 
     def rank(self) -> Dict[int, int]:
         """Map occurrence index -> rank within its fiber (greater block = larger rank)."""
@@ -298,7 +297,7 @@ def _check_admissible(order: AdmissibleOrder, psi: Parameter) -> bool:
         raise DataError("order does not cover the block occurrences exactly once")
     # With the cover exact, the i-th fiber by least occurrence holds the
     # least occurrence of the i-th rho, so it matches that rho or none does.
-    for fiber, (rho, ix) in zip(order._fibers, psi._fiber_map.items()):
+    for fiber, (rho, ix) in zip(order.per_rho, psi._fiber_map.items()):
         if sorted(fiber) != list(ix):
             raise DataError(f"order has no fiber matching rho {rho.id!r}")
         if not _fiber_admissible(psi, fiber):

@@ -11,7 +11,7 @@ check on the records.
 ``Engine`` walks that conjunction tree on an explicit stack, memoizing every
 verdict, until every remaining piece is in good shape; a subproblem of 0 or
 1 record always is, so the walk never opens one.  Good shape is a stop rule:
-its pair chunks are adjacent same-zeta pairs, whose basic condition the
+separated blocks, or one same-zeta pair, whose basic conditions the
 kernel's fast fail has already checked.
 
 A rewrite step is ``(kind, after, ok)``: its kind, the records of its
@@ -88,70 +88,30 @@ def basic_ok(lower: Rec, upper: Rec) -> bool:
 # ---------------------------------------------------------------------------
 
 def _good_shape(recs: Sequence[Rec]) -> bool:
-    """Whether an ascending fiber splits into separated singleton/pair chunks.
+    """Whether an ascending fiber is in good shape: one same-zeta pair whose
+    2A and 2B do not decrease, or blocks each of whose 2B is above the 2A of
+    the block below (0 or 1 record among them).
 
-    A pair chunk must be same-zeta and comparable; the separation conditions
-    are checked with minimal dominating stacks: each block of a chunk must
-    have B above the stacked version of everything below, and every block
-    above the chunk must have B above the worst-case minimal stack of the
-    chunk itself.
-
-    No verdict is known to depend on where either separation test sits.
-    Every canonical fiber is a point of its skeleton's canonical grid, so a
-    variant of this rule can be searched skeleton by skeleton: decide every
-    grid point of each skeleton on which the variant answers otherwise, with
-    the variant in force throughout the walk, and compare.  Over every
-    ascending single-fiber skeleton of 2-4 blocks with 2A <= 14 (<= 15
-    half-integral) and of 5 blocks with 2A <= 10 (<= 11), 6 172 656 in all,
-    a test one step stricter below a chunk (``B <= below_top + 2``) answers
-    otherwise on 53 720 of them and one laxer above a chunk (``<`` for
-    ``<=``) on 2 856, and neither changes a verdict on any of their
-    2 724 576 grid points: the rewrites reach the verdict that the stop
-    rule gives.  ``tools/good_shape_search.py`` runs this search, on this
-    bound by default or on a wider one.
+    The fast fail has checked the basic condition of every adjacent
+    same-zeta pair, and that decides both cases.  Each case is a base case
+    of the stop rule that this one replaced (greedy chunks of singletons and
+    comparable same-zeta pairs, separated by minimal dominating stacks):
+    over every ascending single-fiber skeleton of 2-4 blocks with 2A <= 14
+    (<= 15 half-integral) and of 5 blocks with 2A <= 10 (<= 11), 6 172 656
+    in all, this rule stops on none that the chunk rule did not, and on the
+    50 216 where the two answer otherwise the rewrites reach the same
+    verdict on all 2 569 768 grid points, each rule in force for the whole
+    walk.  Every canonical fiber is a point of its skeleton's canonical
+    grid, so that search is exhaustive on the bound.  Over the same bound,
+    stopping only on separated blocks, or only on 0 or 1 record, changes
+    no verdict either; ``tools/good_shape_search.py`` runs those two
+    searches, on this bound by default or on a wider one.
     """
-    n = len(recs)
-    for lo, up in zip(recs, recs[1:]):
-        if up[0] < lo[0] or up[1] < lo[1]:
-            return False
-    # prefix_top[i] = top of the greedy minimal interval-disjoint dominating
-    # stack of recs[0..i-1] (None when empty).
-    prefix_top: List[Optional[int]] = [None] * (n + 1)
-    top: Optional[int] = None
-    for i, rec in enumerate(recs):
-        start = rec[1] if top is None else max(rec[1], top + 2)
-        top = start + (rec[0] - rec[1])
-        prefix_top[i + 1] = top
-
-    def chunk_ok(i: int, size: int) -> bool:
-        below_top = prefix_top[i]
-        if below_top is not None and recs[i][1] <= below_top:
-            return False
-        if size == 1:
-            stack_top = recs[i][0]
-        else:
-            lo, up = recs[i], recs[i + 1]
-            if lo[2] != up[2]:
-                return False
-            # Worst case over the admissible orders of the pair: the minimal
-            # dominating stack top with the pair stacked either way.  The
-            # reversed order is admissible only when the pair is not forced
-            # by strict two-sided dominance.
-            stack_top = up[0] + max(0, lo[0] - up[1] + 2)
-            if not (up[0] > lo[0] and up[1] > lo[1]):
-                stack_top = max(stack_top, lo[0] + max(0, up[0] - lo[1] + 2))
-        j = i + size
-        if j < n and recs[j][1] <= stack_top:
-            return False
-        return True
-
-    feasible = [False] * (n + 1)
-    feasible[n] = True
-    for i in range(n - 1, -1, -1):
-        feasible[i] = (i + 2 <= n and feasible[i + 2] and chunk_ok(i, 2)) or (
-            feasible[i + 1] and chunk_ok(i, 1)
-        )
-    return feasible[0]
+    if len(recs) == 2:
+        lo, up = recs
+        if lo[2] == up[2] and up[0] >= lo[0] and up[1] >= lo[1]:
+            return True
+    return all(up[1] > lo[0] for lo, up in zip(recs, recs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +149,8 @@ def _rule(fiber: Sequence[Rec]) -> Rule:
         lo, up = fiber[i], fiber[i + 1]
         if lo[2] == up[2]:
             checks.append((i, up[1] >= lo[1], (up[0] - up[1]) // 2, (lo[0] - lo[1]) // 2))
-    # Every pair chunk is an adjacent same-zeta comparable pair: checked by
-    # the fast fail.
+    # Good shape's one pair is an adjacent same-zeta comparable pair:
+    # checked by the fast fail.
     if _good_shape(fiber):
         return (checks, "Good", None)
 
@@ -453,7 +413,7 @@ class Engine:
             raise DataError("order is not admissible")
         if not quasisplit_ok(psi, data):
             raise DataError("data violates the quasisplit product constraint")
-        fibers = [fiber_records(psi, reversed(f), data.l, data.eta) for f in order._fibers]
+        fibers = [fiber_records(psi, reversed(f), data.l, data.eta) for f in order.per_rho]
         return self._decide_unchecked(fibers, collect_trace)
 
     def _decide_unchecked(

@@ -308,7 +308,7 @@ def _transports(psi: Parameter, from_order: AdmissibleOrder, to_order: Admissibl
     """
     records, blocks, target_rank = psi.records, psi.blocks, to_order._rank
     programs = []
-    for current, target in zip(from_order._fibers, to_order._fibers):
+    for current, target in zip(from_order.per_rho, to_order.per_rho):
         if current == target:
             continue
         # Both fibers list greatest first; programs run ascending.

@@ -136,6 +136,47 @@ def test_parse_errors_exit_two(tmp_path):
     assert res.stderr == "error: --all-orders checks at most 500 orders; this parameter has more\n"
 
 
+def test_malformed_parameter_objects_exit_two(tmp_path):
+    block = {"rho": "r", "A": 1, "B": 0, "zeta": 1}
+    cases = {
+        "parameter file must be a JSON object": [block],
+        'missing or malformed "blocks" array': {"group": None},
+        "bad block entry 5": {"blocks": [5]},
+        "bad parity 'unitary'": {"blocks": [dict(block, parity="unitary")]},
+        "bad group kind 'GL'": {"group": "GL", "blocks": [block]},
+    }
+    path = tmp_path / "psi.json"
+    for message, obj in cases.items():
+        path.write_text(json.dumps(obj))
+        res = runner.invoke(main, ["size", "--file", str(path)])
+        assert (res.exit_code, res.stderr) == (2, f"error: {message}\n"), message
+
+
+def test_inadmissible_order_exit_three():
+    # Block 0 strictly dominates block 2 with the same zeta, so it must be greater.
+    for cmd in (["decide", "--l", "0,0,0", "--eta", "-1,-1,1"], ["size"]):
+        res = runner.invoke(main, cmd + ["--example", "moeglin-s8", "--order", "2,0,1"])
+        assert (res.exit_code, res.stdout) == (3, ""), (cmd, res.output)
+        assert res.stderr == "error: order '2,0,1' is not admissible\n"
+
+
+def test_size_oracle_rejects_other_shapes_exit_three(tmp_path):
+    def blocks(*specs):
+        return {"blocks": [{"rho": "r", "A": A, "B": B, "zeta": z} for A, B, z in specs]}
+
+    cases = {
+        "a single fiber of three blocks": blocks((2, 1, 1), (4, 2, 1)),
+        "integral coordinates": blocks(("5/2", "1/2", 1), ("7/2", "3/2", -1), ("9/2", "5/2", 1)),
+        "the zeta pattern (+1, -1, +1)": blocks((2, 1, 1), (4, 2, 1), (6, 3, 1)),
+        "ascending A and B chains": blocks((2, 1, 1), (4, 0, -1), (6, 3, 1)),
+    }
+    path = tmp_path / "psi.json"
+    for need, obj in cases.items():
+        path.write_text(json.dumps(obj))
+        res = runner.invoke(main, ["size", "--file", str(path), "--oracle"])
+        assert (res.exit_code, res.stderr) == (3, f"error: oracle path needs {need}\n"), need
+
+
 def test_integer_lists_take_only_ascii_digits():
     # ``int`` would read "1_0" as 10 and "٢" (an Arabic-Indic digit) as 2.
     data = ["--l", "10,10,2", "--eta", "1,1,1"]
@@ -394,6 +435,28 @@ def test_oracle_compare_random():
     out = json.loads(res.output)
     assert out["instances"] == 5
     assert out["mismatches"] == 0
+
+
+def test_oracle_compare_json_names_a_witness(monkeypatch):
+    args = ["oracle-compare", "--count", "3", "--format", "json"]
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stdout) == (
+        0, '{"instances": 3, "mismatches": 0, "witness": null}\n'
+    ), res.output
+    # A packet plan that loses its first member disagrees on every shape.
+    members = crosscheck_module.enumerate_packet
+    monkeypatch.setattr(
+        crosscheck_module, "enumerate_packet", lambda *args, **kwargs: members(*args, **kwargs)[1:]
+    )
+    res = runner.invoke(main, args)
+    assert (res.exit_code, json.loads(res.stdout)) == (
+        1,
+        {
+            "instances": 3,
+            "mismatches": 3,
+            "witness": "((2, 1, 7, 1, 10, 5), ((0, 1, 0, -1, 0, -1), True, False))",
+        },
+    ), res.output
 
 
 def test_oracle_compare_example():

@@ -113,6 +113,21 @@ def test_order_rejects_an_empty_fiber():
     assert len(psi._admissible) == 1
 
 
+def test_order_has_one_spelling_whatever_its_fiber_sequence():
+    # Two rhos: r at occurrences 0 and 2, s at 1.  Listing the fibers in
+    # either sequence gives one order, with one cached verdict.
+    s = RhoLabel("s", "orthogonal", 1)
+    psi = Parameter((blk(4, 2, 1), blk(3, 0, -1, s), blk(2, 1, 1)))
+    first, second = AdmissibleOrder(((0, 2), (1,))), AdmissibleOrder(((1,), (0, 2)))
+    assert first == second and hash(first) == hash(second)
+    assert (second.per_rho, second.fibers()) == (((0, 2), (1,)), [(0, 2), (1,)])
+    assert is_admissible(first, psi) and is_admissible(second, psi)
+    assert list(psi._admissible) == [first]
+    assert parameter_to_json(psi, second)["order"] == [[0, 2], [1]]
+    obj = dict(parameter_to_json(psi), order=[[1], [0, 2]])
+    assert parameter_from_json(obj)[1].per_rho == ((0, 2), (1,))
+
+
 def test_cached_verdicts_keep_every_check():
     psi = Parameter((blk(2, 1, 1), blk(4, 2, 1), blk(3, 0, -1)))
     good = AdmissibleOrder(((1, 0, 2),))

@@ -75,6 +75,12 @@ def test_good_shape_examples():
     assert not _in_good_shape(psi, order)
     opp = Parameter((blk(1000, 995, -1), blk(2, 0, 1)))
     assert _in_good_shape(opp, AdmissibleOrder(((0, 1),)))
+    # One comparable same-zeta pair is in good shape however close; beside a
+    # third block it is not, although the third block is far away.
+    pair = Parameter((blk(5, 2, 1), blk(4, 1, 1)))
+    assert _in_good_shape(pair, AdmissibleOrder(((0, 1),)))
+    three = Parameter((blk(100, 99, -1), blk(5, 2, 1), blk(4, 1, 1)))
+    assert not _in_good_shape(three, AdmissibleOrder(((0, 1, 2),)))
 
 
 def _good_shape_search():
@@ -86,14 +92,14 @@ def _good_shape_search():
 
 
 def test_good_shape_separation_variants_change_no_verdict():
-    # tools/good_shape_search.py on a narrow bound: a separation test one
-    # step stricter below a chunk, or laxer above it, answers otherwise on
-    # some skeletons but changes no verdict on their grid points.
+    # tools/good_shape_search.py on a narrow bound: stopping only on
+    # separated blocks, or only on 0 or 1 record, answers otherwise on some
+    # skeletons but changes no verdict on their grid points.
     search = _good_shape_search()
     found = {
         name: tuple(search.search(good, (2, 3, 4), 6)) for name, good in search.variants().items()
     }
-    assert found == {"strict": (26840, 584, 9404, 0), "lax": (26840, 16, 288, 0)}
+    assert found == {"separated": (26840, 140, 1456, 0), "rewrites-only": (26840, 404, 3736, 0)}
     # The search sees a changed verdict: stopping on every fiber changes some.
     assert tuple(search.search(lambda recs: True, (2,), 4)) == (168, 68, 540, 150)
     assert search.engine_module._good_shape is _good_shape

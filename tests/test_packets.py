@@ -1,9 +1,12 @@
 import random
 
+import pytest
+
 from arthur_packets import packets
 from arthur_packets.characters import quasisplit_ok
 from arthur_packets.core import (
     AdmissibleOrder,
+    DataError,
     JordanBlock,
     Parameter,
     RhoLabel,
@@ -68,6 +71,14 @@ def test_explicit_order_agrees_with_natural():
     psi = Parameter((blk(4, 1, 1), blk(3, 2, 1)))
     order = AdmissibleOrder(((1, 0),))
     assert packet_size(psi) == packet_size(psi, order=order)
+
+
+def test_packet_functions_reject_an_inadmissible_order():
+    # Block 0 strictly dominates block 1 with the same zeta, so it must be greater.
+    psi = Parameter((blk(4, 1, 1), blk(3, 0, 1)))
+    for plan in (packet_size, enumerate_packet):
+        with pytest.raises(DataError, match="^order is not admissible$"):
+            plan(psi, AdmissibleOrder(((1, 0),)))
 
 
 def _record_cases():

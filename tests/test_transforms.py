@@ -301,6 +301,16 @@ def test_sigma0_canonical():
     assert sigma0_equiv(data, canon, psi)
 
 
+def test_sigma0_equiv_needs_equal_l_and_equal_visible_eta():
+    psi = Parameter((blk(4, 3, 1), blk(3, 2, 1)))  # d = 1: free at l = 1
+    data = SignedData((1, 0), (1, 1))
+    assert sigma0_equiv(data, SignedData((1, 0), (-1, 1)), psi)
+    # l differs, though the etas agree.
+    assert not sigma0_equiv(data, SignedData((0, 0), (1, 1)), psi)
+    # The eta of block 1 is visible at l = 0.
+    assert not sigma0_equiv(data, SignedData((1, 0), (1, -1)), psi)
+
+
 def test_sigma0_canonical_checks_bounds():
     # Both blocks have d = 1, so l_max = 1.
     psi = Parameter((blk(4, 3, 1), blk(3, 2, 1)))
