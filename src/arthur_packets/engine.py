@@ -1,13 +1,13 @@
 """Decision engine: nonvanishing of a packet member for given (l, eta).
 
 The engine normalizes each rho-fiber to the natural order (A descending, ties
-by B), transporting (l, eta) with ``transforms.transport``.  The pure kernel
-``rewrite`` maps a canonical fiber to a verdict or to the subproblems of one
-step; the only rewrites are Pull, Expand and Change sign.  Which rewrite
-applies, and where, depends only on the fiber's skeleton (tA, tB, zeta), so
-``rewrite(seq) = _apply(_rule(seq), seq)``: ``_rule`` decides the
-skeleton's half, reading only (tA, tB, zeta), and ``_apply`` runs every data
-check on the records.
+by B), transporting (l, eta) with ``transforms.swap_along`` along the fiber's
+``swap_schedule``.  The pure kernel ``rewrite`` maps a canonical fiber to a
+verdict or to the subproblems of one step; the only rewrites are Pull,
+Expand and Change sign.  Which rewrite applies, and where, depends only on
+the fiber's skeleton (tA, tB, zeta), so ``rewrite(seq) = _apply(_rule(seq),
+seq)``: ``_rule`` decides the skeleton's half, reading only (tA, tB, zeta),
+and ``_apply`` runs every data check on the records.
 ``Engine`` walks that conjunction tree on an explicit stack, memoizing every
 verdict, until every remaining piece is in good shape; a subproblem of 0 or
 1 record always is, so the walk never opens one.  Good shape is a stop rule:
@@ -55,7 +55,6 @@ from .transforms import (
     swap_along,
     swap_records,
     swap_schedule,
-    transport,
 )
 
 
@@ -276,9 +275,15 @@ class Engine:
     rule is not stored, and on a stored rule's first step, which fills its
     plans whatever that step's verdict.
 
-    ``_grids`` holds the packet plan's fiber grids (``packets._choices``
-    rows by fiber records) of one parameter, ``_grids_of``, the last one
-    planned: the orders of a parameter share them.
+    The memo and ``_grids``, the packet plan's fiber grids
+    (``packets._choices`` rows by fiber records), hold one parameter,
+    ``_grids_of``, the last one the packet plan planned (``_scope``): the
+    orders of a parameter share them, and planning another parameter drops
+    both.  So an engine shared across parameters, as ``oracle-compare``'s
+    is, keeps memory for one parameter's fibers and for the rules, which
+    depend only on skeletons and stay for the engine's life.  A dropped
+    fiber decided again gets the same verdict.  ``decide`` and
+    ``_decide_unchecked`` never drop the memo.
     """
 
     def __init__(self, recursion_limit: int = 10000):
@@ -292,6 +297,14 @@ class Engine:
         self._grids: Dict[tuple, list] = {}
         self._grids_of: Optional[Parameter] = None
 
+    def _scope(self, psi: Parameter) -> Dict[tuple, list]:
+        """The fiber grids of ``psi``, for the packet plan.  When ``psi`` is
+        not the parameter planned last, the memo and the grids are dropped
+        first."""
+        if self._grids_of is not psi:
+            self._grids_of, self._grids, self._memo = psi, {}, {}
+        return self._grids
+
     # -- fiber normalization ---------------------------------------------
 
     @staticmethod
@@ -302,7 +315,7 @@ class Engine:
         Raises TransformPreconditionError when a same-zeta swap finds its
         necessary condition violated (which implies the verdict is False).
         """
-        work = transport(seq, [(rec[0], rec[1]) for rec in seq])
+        work = swap_along(seq, swap_schedule([(rec[0], rec[1]) for rec in seq]))
         for i, rec in enumerate(work):
             if 4 * rec[3] == rec[0] - rec[1] + 2:
                 work[i] = (rec[0], rec[1], rec[2], rec[3], 1)

@@ -22,9 +22,12 @@ fiber a row pairs only with members of its own sign), and the concatenated
 data are mapped back to occurrence order only when the fibers interleave.
 ``packet_size`` only counts those products by sign.  This plan is the
 library's one member filter.  It runs serially: every choice is decided by
-the caller's one engine, so all of them share its memo, and the orders of
-one parameter share its grids (``Engine._grids``): a fiber's grid depends
-only on its records.
+the caller's one engine, so the orders of one parameter share its memo and
+its grids (a fiber's grid depends only on its records).  Planning another
+parameter drops both (``Engine._scope``), so an engine shared across
+parameters holds the fibers of one, and an outcome under its
+``recursion_limit`` depends only on the earlier decisions of the same
+parameter on that engine.
 """
 
 from __future__ import annotations
@@ -133,16 +136,15 @@ def _plan(
     signs, so every fiber does, and only the last fiber is restricted: to
     the signs that the earlier member products reach (for one fiber, +1).
     Every choice is decided in turn by the one engine, ``engine`` or a fresh
-    one.
+    one, scoped to ``psi``.
     """
     if order is None:
         order = natural_order(psi)
     if not is_admissible(order, psi):
         raise DataError("order is not admissible")
     engine = engine or Engine()
-    if engine._grids_of is not psi:
-        engine._grids_of, engine._grids = psi, {}
-    fibers = [_fiber(psi, fiber, engine._grids) for fiber in order.fibers()]
+    grids = engine._scope(psi)
+    fibers = [_fiber(psi, fiber, grids) for fiber in order.fibers()]
     lists: List[Dict[int, List[Member]]] = []
     counts = {1: 1, -1: 0}
     for k, fib in enumerate(fibers):

@@ -11,10 +11,10 @@ two admissible orders (reorder).
 The pair formulas only depend on each block's A - B; helpers here take those
 integers directly.  ``pair_kind`` reads from two records' (2A, 2B, zeta)
 which map swaps them.  ``swap_records`` applies it to fiber records, and
-``transport`` sorts a fiber's records by swapping neighbours: the one way
-in which the decision engine moves (l, eta).  It is
-``swap_along(recs, swap_schedule(keys))``: the swap positions depend on the
-keys alone, so a caller that sorts the same keys again can keep the schedule.
+``swap_along(recs, swap_schedule(keys))`` sorts a fiber's records by
+swapping neighbours: the one way in which the decision engine moves
+(l, eta).  The swap positions depend on the keys alone, so a caller that
+sorts the same keys again can keep the schedule.
 ``reorder`` is the one Parameter-level transport: a single adjacent swap is
 ``reorder`` to the order with that pair exchanged.  Its swaps depend only on
 the two orders, so the first call for a pair of orders compiles, for each
@@ -253,15 +253,6 @@ def swap_along(recs: Sequence[Rec], schedule: Iterable[int]) -> List[Rec]:
     for i in schedule:
         work[i], work[i + 1] = swap_records(work[i], work[i + 1])
     return work
-
-
-def transport(recs: Sequence[Rec], keys: Sequence) -> List[Rec]:
-    """Sort an ascending fiber's records by ``keys`` with adjacent swaps.
-
-    Records with equal keys never swap, and each swap is ``swap_records``.
-    Raises TransformPreconditionError as ``swap_records`` does.
-    """
-    return swap_along(recs, swap_schedule(keys))
 
 
 # ---------------------------------------------------------------------------

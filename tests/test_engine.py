@@ -91,7 +91,7 @@ def _good_shape_search():
     return module
 
 
-def test_good_shape_separation_variants_change_no_verdict():
+def test_weaker_good_shape_rules_change_no_verdict():
     # tools/good_shape_search.py on a narrow bound: stopping only on
     # separated blocks, or only on 0 or 1 record, answers otherwise on some
     # skeletons but changes no verdict on their grid points.
@@ -254,24 +254,36 @@ class _Recording(Engine):
         return verdict
 
 
-def _assert_stored_rules_are_neutral(shared):
+def _assert_stored_rules_are_neutral(shared, snapshots=None):
     """Replay each of a warm engine's decisions without plans on a fresh
     engine, which never stores a rule: same verdicts; the fresh memos
     together are the warm memo; the fresh traces together hold the warm
-    traces' steps.  So stored rules and the packet plan's top-level plans
-    change nothing."""
-    memo, steps = {}, set()
-    for fibers, verdict in shared.calls:
-        fresh = Engine()
-        replay = fresh._decide_unchecked(fibers, True)
-        assert replay.nonvanishing == verdict.nonvanishing, fibers
-        assert not fresh._rules
-        memo.update(fresh._memo)
-        steps.update(replay.trace)
-    warm_steps = [step for _, verdict in shared.calls for step in verdict.trace]
-    assert len(set(warm_steps)) == len(warm_steps)
-    assert set(warm_steps) == steps
-    assert shared._memo == memo
+    traces' steps, each once.  So stored rules and the packet plan's
+    top-level plans change nothing.
+
+    ``snapshots`` lists, after each parameter's decisions, their number so
+    far and a copy of the warm memo; each parameter is checked on its own,
+    since the packet plan drops the memo when it plans another parameter (a
+    fiber can then be walked again, with the same steps, under the next
+    one).  Without it, all decisions are checked against the memo as it is.
+    """
+    start = 0
+    for end, warm_memo in snapshots or [(len(shared.calls), shared._memo)]:
+        calls = shared.calls[start:end]
+        memo, steps = {}, set()
+        for fibers, verdict in calls:
+            fresh = Engine()
+            replay = fresh._decide_unchecked(fibers, True)
+            assert replay.nonvanishing == verdict.nonvanishing, fibers
+            assert not fresh._rules
+            memo.update(fresh._memo)
+            steps.update(replay.trace)
+        warm_steps = [step for _, verdict in calls for step in verdict.trace]
+        assert len(set(warm_steps)) == len(warm_steps)
+        assert set(warm_steps) == steps
+        assert warm_memo == memo
+        start = end
+    assert start == len(shared.calls)
     # The warm engine did take subproblem plans from stored rules.
     assert any(plans is not None for _, plans in shared._rules.values())
 
@@ -286,7 +298,7 @@ def test_stored_rules_are_neutral_on_golden():
 
 def test_stored_rules_are_neutral_on_criterion_5_and_oracle_shapes():
     # The first 16 criterion-5 parameters under three admissible orders each.
-    shared = _Recording()
+    shared, snapshots = _Recording(), []
     rng = random.Random(99)
     tested = 0
     while tested < 16:
@@ -298,13 +310,15 @@ def test_stored_rules_are_neutral_on_criterion_5_and_oracle_shapes():
         rng.shuffle(orders)
         for order in orders[:3]:
             enumerate_packet(psi, order, engine=shared)
+        snapshots.append((len(shared.calls), dict(shared._memo)))
     assert shared.planned == len(shared.calls) > 0
-    _assert_stored_rules_are_neutral(shared)
-    shared = _Recording()
+    _assert_stored_rules_are_neutral(shared, snapshots)
+    shared, snapshots = _Recording(), []
     for shape in random_three_block_shapes(50, 12, 3):
         assert compare_three_block(*shape, engine=shared) == []
+        snapshots.append((len(shared.calls), dict(shared._memo)))
     assert shared.planned == len(shared.calls) > 0
-    _assert_stored_rules_are_neutral(shared)
+    _assert_stored_rules_are_neutral(shared, snapshots)
 
 
 def test_each_rule_is_computed_once_after_the_first_decision(monkeypatch):

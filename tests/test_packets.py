@@ -4,6 +4,7 @@ import pytest
 
 from arthur_packets import packets
 from arthur_packets.characters import quasisplit_ok
+from arthur_packets.crosscheck import compare_three_block, random_three_block_shapes
 from arthur_packets.core import (
     AdmissibleOrder,
     DataError,
@@ -179,14 +180,16 @@ def test_library_built_data_pass_the_caller_checks():
 
 def test_grids_are_kept_for_the_last_parameter_planned(monkeypatch):
     # One engine plans psi A under three orders, then B, then A again; its
-    # members are those of a fresh engine each time.
+    # members are those of a fresh engine each time.  The memo follows the
+    # grids: it holds the fibers of the last parameter planned only.
     cases = _record_cases()
     a = next(psi for psi in cases if len(psi.fibers()) == 2)
     b = cases[0]
     orders_a = all_admissible_orders(a, limit=3)
     assert len(orders_a) == 3
     runs = [(a, order) for order in orders_a] + [(b, natural_order(b)), (a, orders_a[0])]
-    want = [enumerate_packet(psi, order, engine=Engine()) for psi, order in runs]
+    fresh = [Engine() for _ in runs]
+    want = [enumerate_packet(psi, order, engine=e) for (psi, order), e in zip(runs, fresh)]
     fiber_records = lambda psi: [tuple(psi.records[i] for i in ix) for ix in psi.fibers().values()]
     calls = []
     choices = packets._choices
@@ -198,11 +201,29 @@ def test_grids_are_kept_for_the_last_parameter_planned(monkeypatch):
     assert engine._grids_of is a and list(engine._grids) == fiber_records(a)
     grids_a = list(engine._grids.values())
     got.append(enumerate_packet(b, runs[3][1], engine=engine))
-    # After B the engine holds B's grids only.
+    # After B the engine holds B's grids and B's fibers only.
     assert engine._grids_of is b and list(engine._grids) == fiber_records(b)
     assert not any(g is h for g in engine._grids.values() for h in grids_a)
+    assert engine._memo == fresh[3]._memo
     del calls[:]
     got.append(enumerate_packet(a, orders_a[0], engine=engine))
-    # A's grids were dropped with B, so they are built again.
+    # A's grids were dropped with B, so they are built again, and A's memo
+    # starts empty: it ends as a fresh engine's on that one order.
     assert calls == fiber_records(a) and engine._grids_of is a
+    assert engine._memo == fresh[4]._memo
     assert got == want
+
+
+def test_a_shared_engine_keeps_the_memo_of_the_last_shape():
+    # One engine over 300 oracle shapes: after each, its memo is that of a
+    # fresh engine that compared only that shape, while the stored rules,
+    # which depend only on skeletons, are all kept.
+    shared, rules = Engine(), set()
+    for shape in random_three_block_shapes(300, 12, 1):
+        assert compare_three_block(*shape, engine=shared) == []
+        fresh = Engine()
+        assert compare_three_block(*shape, engine=fresh) == []
+        assert shared._memo == fresh._memo, shape
+        assert rules <= shared._rules.keys()
+        rules = set(shared._rules)
+    assert len(rules) > len(fresh._rules)

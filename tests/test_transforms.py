@@ -32,7 +32,6 @@ from arthur_packets.transforms import (
     swap_along,
     swap_records,
     swap_schedule,
-    transport,
     u_pair,
 )
 from test_acceptance import _random_parameter  # the criterion-5 generator
@@ -195,9 +194,9 @@ def test_transport_one_record_moves_match_successive_swaps():
                 want = _swapped_in_turn(recs, positions)
             except TransformPreconditionError:
                 with pytest.raises(TransformPreconditionError):
-                    transport(recs, keys)
+                    swap_along(recs, swap_schedule(keys))
                 continue
-            assert transport(recs, keys) == want
+            assert swap_along(recs, swap_schedule(keys)) == want
             moved[name] += 1
 
 
@@ -229,15 +228,16 @@ def test_swap_schedule_sorts_stably_and_transport_matches_the_reference(keys, se
         assert keys[order[i]] > keys[order[i + 1]]
         order[i], order[i + 1] = order[i + 1], order[i]
     assert order == sorted(range(len(keys)), key=keys.__getitem__)
-    # On records, transport swaps as the reference loop does, or raises as it does.
+    # On records, swapping along the schedule matches the reference loop, or
+    # raises as it does.
     recs = _nested_records(random.Random(seed), len(keys))
     try:
         want = _bubble_transport(recs, keys)
     except TransformPreconditionError:
         with pytest.raises(TransformPreconditionError):
-            transport(recs, keys)
+            swap_along(recs, swap_schedule(keys))
         return
-    assert transport(recs, keys) == want
+    assert swap_along(recs, swap_schedule(keys)) == want
 
 
 def test_transport_never_swaps_equal_keys():
@@ -245,7 +245,7 @@ def test_transport_never_swaps_equal_keys():
     lo, up = (4, 2, 1, 0, 1), (6, 4, 1, 0, 1)
     with pytest.raises(AssertionError):
         swap_records(lo, up)
-    assert transport([lo, up], [0, 0]) == [lo, up]
+    assert swap_along([lo, up], swap_schedule([0, 0])) == [lo, up]
     # The record with the smaller key passes both; the tied pair keeps its order.
     rng = random.Random(5)
     for _ in range(50):
@@ -254,7 +254,7 @@ def test_transport_never_swaps_equal_keys():
             want = _swapped_in_turn(recs, (1, 0))
         except TransformPreconditionError:
             continue
-        assert transport(recs, [1, 1, 0]) == want
+        assert swap_along(recs, swap_schedule([1, 1, 0])) == want
 
 
 def test_transport_precondition_raises():
@@ -262,11 +262,11 @@ def test_transport_precondition_raises():
     # l_big - l_small = -1 < 0 violates the container-above condition.
     small, big = (6, 2, 1, 1, -1), (8, 0, 1, 0, -1)
     with pytest.raises(TransformPreconditionError, match="container-above"):
-        transport([small, big], [1, 0])
+        swap_along([small, big], swap_schedule([1, 0]))
     # S-: the same data with the container below violates the
     # contained-above condition.
     with pytest.raises(TransformPreconditionError, match="contained-above"):
-        transport([big, small], [1, 0])
+        swap_along([big, small], swap_schedule([1, 0]))
 
 
 def test_parameter_level_swaps():
