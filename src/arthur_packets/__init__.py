@@ -1,8 +1,11 @@
 """Exact combinatorics of packet coordinates for p-adic classical groups.
 
 Public API: block/parameter data types, sign characters, change-of-order
-transforms, reduction rewrites, the decision engine, packet enumeration, and
-independent closed-form oracles for differential testing.
+transforms, reduction rewrites, the decision engine, packet enumeration,
+independent closed-form oracles, and the three-block cross-check of the packet
+plan against them (``compare_three_block``, ``random_three_block_shapes``,
+``three_block_parameter``, ``three_block_shape``).  The command-line module
+``cli`` is the only one that imports click, and no library module imports it.
 """
 
 from .halfint import HalfInt, hi
@@ -61,5 +64,11 @@ from .oracle import (
     three_block_grid,
 )
 from .packets import candidates, enumerate_packet, packet_size
+from .crosscheck import (
+    compare_three_block,
+    random_three_block_shapes,
+    three_block_parameter,
+    three_block_shape,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

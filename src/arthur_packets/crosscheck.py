@@ -12,6 +12,7 @@ package.
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from typing import List, Optional, Tuple
 
 from .core import AdmissibleOrder, DataError, JordanBlock, Parameter, RhoLabel
@@ -41,12 +42,19 @@ def three_block_shape(psi: Parameter) -> Tuple[int, ...]:
     """Extract ascending (A1,B1,A2,B2,A3,B3) if psi fits the three-block family."""
     if len(psi.blocks) != 3 or len(psi.fibers()) != 1:
         raise DataError("oracle path needs a single fiber of three blocks")
-    blocks = sorted(psi.blocks, key=lambda b: (b.A.twice, b.B.twice))
+    key = lambda b: (b.A.twice, b.B.twice)
+    blocks = sorted(psi.blocks, key=key)
     if any(not (b.A.is_integral and b.B.is_integral) for b in blocks):
         raise DataError("oracle path needs integral coordinates")
-    b1, b2, b3 = blocks
-    if not (b1.zeta == b3.zeta == 1 and b2.zeta == -1):
+    # Blocks with equal (A, B) may stand in any order, so the pattern only
+    # has to fit some arrangement of the ties: the shape is the same for all.
+    keys = [key(b) for b in blocks]
+    if not any(
+        [key(b) for b in p] == keys and [b.zeta for b in p] == [1, -1, 1]
+        for p in permutations(blocks)
+    ):
         raise DataError("oracle path needs the zeta pattern (+1, -1, +1)")
+    b1, b2, b3 = blocks
     if not (
         b3.A >= b2.A >= b1.A and b3.B >= b2.B >= b1.B
     ):

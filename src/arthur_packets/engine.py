@@ -267,13 +267,14 @@ class Engine:
     """Decides fibers, memoizing every verdict by canonical fiber.
 
     A rule is a pure function of the canonical skeleton, so from its second
-    top-level decision on an engine stores every rule it computes under it,
-    with the plans of its subproblems that can fail (2 or more records); a
-    plan names the canonical skeleton to read a rule under.  Its first
-    decision stores none: an engine that decides one fiber would only pay
-    for them in memory.  The measure decrease is checked on each step whose
-    rule is not stored, and on a stored rule's first step, which fills its
-    plans whatever that step's verdict.
+    fiber walk (``_fiber_decide`` call) on an engine stores every rule it
+    computes under it, with the plans of its subproblems that can fail (2 or
+    more records); a plan names the canonical skeleton to read a rule under.
+    Its first walk stores none: an engine that decides one fiber would only
+    pay for them in memory.  So the second fiber of the first ``decide`` of
+    a two-fiber parameter already stores rules.  The measure decrease is
+    checked on each step whose rule is not stored, and on a stored rule's
+    first step, which fills its plans whatever that step's verdict.
 
     The memo and ``_grids``, the packet plan's fiber grids
     (``packets._choices`` rows by fiber records), hold one parameter,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arthur_packets.cli import main
+from arthur_packets.core import natural_order, parameter_from_json
+from arthur_packets.packets import packet_size
 from arthur_packets import cli as cli_module
 from arthur_packets import crosscheck as crosscheck_module
 from arthur_packets import reductions as reductions_module
@@ -175,6 +178,56 @@ def test_size_oracle_rejects_other_shapes_exit_three(tmp_path):
         path.write_text(json.dumps(obj))
         res = runner.invoke(main, ["size", "--file", str(path), "--oracle"])
         assert (res.exit_code, res.stderr) == (3, f"error: oracle path needs {need}\n"), need
+
+
+def test_oracle_path_takes_tied_blocks_in_any_listing(tmp_path):
+    # Two blocks with equal (A, B) and opposite zeta can stand in either order.
+    tied = {
+        ((2, 1, 1), (2, 1, -1), (3, 2, 1)): 9,
+        ((1, 0, 1), (3, 2, -1), (3, 2, 1)): 9,
+        ((2, 1, 1), (2, 1, -1), (2, 1, 1)): 3,
+    }
+    path = tmp_path / "psi.json"
+    for specs, size in tied.items():
+        for listing in itertools.permutations(specs):
+            obj = {"blocks": [{"rho": "r", "A": A, "B": B, "zeta": z} for A, B, z in listing]}
+            psi, _ = parameter_from_json(obj)
+            assert packet_size(psi, natural_order(psi)) == size, listing
+            path.write_text(json.dumps(obj))
+            res = runner.invoke(main, ["size", "--file", str(path), "--oracle"])
+            assert (res.exit_code, res.output) == (0, f"{size}\n"), (listing, res.stderr)
+            res = runner.invoke(main, ["oracle-compare", "--file", str(path)])
+            assert (res.exit_code, res.output) == (0, "0 mismatches over 1 instances\n"), listing
+    # No arrangement of these ties has the zeta pattern (+1, -1, +1).
+    for listing in itertools.permutations(((2, 1, 1), (2, 1, 1), (3, 2, -1))):
+        obj = {"blocks": [{"rho": "r", "A": A, "B": B, "zeta": z} for A, B, z in listing]}
+        path.write_text(json.dumps(obj))
+        for cmd in (["size", "--oracle"], ["oracle-compare"]):
+            res = runner.invoke(main, cmd + ["--file", str(path)])
+            assert (res.exit_code, res.stderr) == (
+                3, "error: oracle path needs the zeta pattern (+1, -1, +1)\n"
+            ), (cmd, listing)
+
+
+def test_package_root_cross_check_loads_no_cli_or_click():
+    # This process has loaded click through click.testing, so ask a fresh one.
+    script = """
+import sys
+import arthur_packets
+from arthur_packets import crosscheck
+shape = arthur_packets.random_three_block_shapes(1, 8, 5)[0]
+print(arthur_packets.compare_three_block(*shape))
+names = ("compare_three_block", "random_three_block_shapes", "three_block_parameter",
+         "three_block_shape")
+print(all(getattr(arthur_packets, n) is getattr(crosscheck, n) for n in names))
+print(sorted(m for m in ("click", "arthur_packets.cli") if m in sys.modules))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (res.returncode, res.stdout) == (0, "[]\nTrue\n[]\n"), res.stderr
 
 
 def test_integer_lists_take_only_ascii_digits():
